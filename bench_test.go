@@ -7,6 +7,7 @@ package dtdevolve_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -183,6 +184,69 @@ func BenchmarkRecordDocument(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec.Record(docs[i%len(docs)])
+	}
+}
+
+// eventLogDTD is a log-event schema: one document carries hundreds of
+// <event> children under a single (event)* root.
+var eventLogDTD = func() *dtd.DTD {
+	d := dtd.MustParse(`
+<!ELEMENT log (event)*>
+<!ELEMENT event (ts, level, msg, trace?)>
+<!ELEMENT ts (#PCDATA)>
+<!ELEMENT level (#PCDATA)>
+<!ELEMENT msg (#PCDATA)>
+<!ELEMENT trace (#PCDATA)>`)
+	d.Name = "log"
+	return d
+}()
+
+// wideLogDocument returns a valid eventLogDTD document of n events; every
+// third event carries a trace.
+func wideLogDocument(b *testing.B, n int) *dtdevolve.Document {
+	var sb strings.Builder
+	sb.WriteString("<log>")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "<event><ts>%d</ts><level>info</level><msg>event %d</msg>", i, i)
+		if i%3 == 0 {
+			sb.WriteString("<trace>t</trace>")
+		}
+		sb.WriteString("</event>")
+	}
+	sb.WriteString("</log>")
+	doc, err := dtdevolve.ParseDocumentString(sb.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return doc
+}
+
+// BenchmarkRecordWideDocument records a 1,200-event document: its root's
+// local validity is decided over 1,200 children. Gated at 0 allocs/op.
+func BenchmarkRecordWideDocument(b *testing.B) {
+	doc := wideLogDocument(b, 1200)
+	rec := record.New(eventLogDTD)
+	rec.Record(doc) // create the stat rows
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Record(doc)
+	}
+}
+
+// BenchmarkLocalValidWide decides the local validity of that 1,200-event
+// root against (event)*. Gated at 0 allocs/op.
+func BenchmarkLocalValidWide(b *testing.B) {
+	doc := wideLogDocument(b, 1200)
+	v := validate.New(eventLogDTD)
+	model := eventLogDTD.Elements["log"]
+	if !v.LocalValid(doc.Root, model) {
+		b.Fatal("wide root is not locally valid")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.LocalValid(doc.Root, model)
 	}
 }
 

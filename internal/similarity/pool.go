@@ -5,6 +5,7 @@ import (
 
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/intern"
+	"dtdevolve/internal/validate"
 	"dtdevolve/internal/xmltree"
 )
 
@@ -35,7 +36,11 @@ type Pool struct {
 	d      *dtd.DTD
 	shared *sharedTables
 	bound  Bound
-	pool   sync.Pool
+	// valid decides the local validity StreamEvals report; its
+	// content-model automata compile on first use and are shared by
+	// every StreamEval of the pool.
+	valid *validate.Validator
+	pool  sync.Pool
 	// streams pools StreamEvals (each owning a borrowed evaluator) for the
 	// streaming ingest path; see stream.go.
 	streams sync.Pool
@@ -69,7 +74,7 @@ func NewPoolWithTable(d *dtd.DTD, cfg Config, tab *intern.Table) *Pool {
 		nfas:  seed.nfaMemo,
 		mixed: seed.mixedMemo,
 	}
-	p := &Pool{d: d, shared: shared, bound: computeBound(d, cfg, seed)}
+	p := &Pool{d: d, shared: shared, bound: computeBound(d, cfg, seed), valid: validate.New(d)}
 	p.pool.New = func() any {
 		e := newEvaluator(d, cfg, tab)
 		e.shared = shared

@@ -16,18 +16,11 @@
 //
 // Each frame also tracks the boolean one-level validity of its element
 // (validate.LocalValid semantics) so the recording path can reuse it: for
-// element content this is a reachable-state bitset over the same automaton
-// restricted to its zero-minus epsilon edges and exact-ID symbol edges.
-// The one divergence between that automaton and the validator's matcher is
-// a nested ANY inside element content (the matcher accepts any segment,
-// the automaton compiles ANY to an empty-only epsilon); such models —
-// vanishingly rare — fall back to buffering the child tags and asking the
-// matcher at close.
+// element content it runs the validator's own content-model automaton,
+// one step per child element.
 package similarity
 
 import (
-	"math/bits"
-
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/intern"
 	"dtdevolve/internal/validate"
@@ -53,7 +46,6 @@ type sframe struct {
 	declared   bool // the element name has a declaration in the DTD
 	triples    bool // triple accumulation active (declared && depth < MaxDepth)
 	degraded   bool // child budget exceeded: triple escalated to the ANY-style summary
-	useTags    bool // nested-ANY model: validity via buffered tags + matcher
 	hasText    bool // some non-whitespace text child (xmltree.Node.HasText semantics)
 	mixedOK    bool // mixed validity: every element child so far is in the alphabet
 	id         int32
@@ -61,16 +53,14 @@ type sframe struct {
 	decl       *dtd.Content
 	set        *labelSet
 	a          *nfa
-	t          Triple   // ANY/EMPTY/PCDATA/mixed accumulator
-	anyT       Triple   // ANY-style summary of a content frame, used when degraded
-	textPlus   float64  // content models: one plus per text child
-	childCount int      // all kept children (text nodes included)
-	elemCount  int      // element children only
-	cells      []cell   // content: current DP layer
-	spare      []cell   // content: next DP layer (swapped each step)
-	vbits      []uint64 // content: validity reachable-state set
-	vspare     []uint64
-	tags       []string // nested-ANY fallback: buffered child tags
+	t          Triple       // ANY/EMPTY/PCDATA/mixed accumulator
+	anyT       Triple       // ANY-style summary of a content frame, used when degraded
+	textPlus   float64      // content models: one plus per text child
+	childCount int          // all kept children (text nodes included)
+	elemCount  int          // element children only
+	cells      []cell       // content: current DP layer
+	spare      []cell       // content: next DP layer (swapped each step)
+	run        validate.Run // content: validity over the child tags so far
 }
 
 // StreamEval scores one document against one DTD from a stream of events.
@@ -79,13 +69,12 @@ type sframe struct {
 // Not safe for concurrent use.
 type StreamEval struct {
 	e      *Evaluator
+	v      *validate.Validator
 	frames []sframe
 	n      int // open frames
-	// sc provides the worklist scratch relaxEps and the validity closure
-	// share; owned (not drawn from scratchPool) so a pooled StreamEval
-	// keeps warm buffers.
+	// sc provides the worklist scratch of relaxEps; owned (not drawn from
+	// scratchPool) so a pooled StreamEval keeps warm buffers.
 	sc           alignScratch
-	anyNested    map[*dtd.Content]bool
 	rootT        Triple
 	rootDeclared bool
 	closed       bool
@@ -99,7 +88,7 @@ func (p *Pool) GetStream() *StreamEval {
 		se.Reset()
 		return se
 	}
-	return &StreamEval{e: p.Get(), anyNested: make(map[*dtd.Content]bool)}
+	return &StreamEval{e: p.Get(), v: p.valid}
 }
 
 // PutStream returns a streaming evaluator to the pool.
@@ -135,11 +124,10 @@ func (se *StreamEval) Start(id int32, name string) {
 	decl, declared := se.e.d.Elements[name]
 	f.id, f.name, f.decl, f.declared = id, name, decl, declared
 	f.triples = declared && depth < se.e.cfg.MaxDepth
-	f.degraded, f.useTags, f.hasText = false, false, false
+	f.degraded, f.hasText = false, false
 	f.mixedOK = true
 	f.t, f.anyT, f.textPlus = Triple{}, Triple{}, 0
 	f.childCount, f.elemCount = 0, 0
-	f.tags = f.tags[:0]
 	switch {
 	case !declared:
 		f.mode = modeOff
@@ -159,7 +147,7 @@ func (se *StreamEval) Start(id int32, name string) {
 	}
 }
 
-// initContent prepares the DP layer and validity set of a content frame.
+// initContent prepares the DP layer and validity run of a content frame.
 func (se *StreamEval) initContent(f *sframe) {
 	n := len(f.a.eps)
 	if cap(f.cells) < n {
@@ -175,20 +163,7 @@ func (se *StreamEval) initContent(f *sframe) {
 		f.cells[f.a.start] = cell{ok: true}
 		se.e.relaxEps(f.a, f.cells, &se.sc)
 	}
-	words := (n + 63) / 64
-	if cap(f.vbits) < words {
-		f.vbits = make([]uint64, words)
-		f.vspare = make([]uint64, words)
-	}
-	f.vbits, f.vspare = f.vbits[:words], f.vspare[:words]
-	if f.useTags = se.nestedAny(f.decl); f.useTags {
-		return
-	}
-	for i := range f.vbits {
-		f.vbits[i] = 0
-	}
-	f.vbits[f.a.start/64] |= 1 << (uint(f.a.start) % 64)
-	se.closure0(f.a, f.vbits)
+	f.run.Reset(se.v.Automaton(f.decl))
 }
 
 // growScratch sizes the shared worklist scratch for n automaton states.
@@ -196,36 +171,6 @@ func (se *StreamEval) growScratch(n int) {
 	if len(se.sc.inWork) < n {
 		se.sc.inWork = make([]bool, n)
 	}
-}
-
-// nestedAny reports whether model contains an ANY leaf below the top level:
-// the matcher accepts any child segment there, the compiled automaton does
-// not, so validity must go through the matcher.
-func (se *StreamEval) nestedAny(model *dtd.Content) bool {
-	if v, ok := se.anyNested[model]; ok {
-		return v
-	}
-	v := false
-	for _, ch := range model.Children {
-		if containsAny(ch) {
-			v = true
-			break
-		}
-	}
-	se.anyNested[model] = v
-	return v
-}
-
-func containsAny(c *dtd.Content) bool {
-	if c.Kind == dtd.Any {
-		return true
-	}
-	for _, ch := range c.Children {
-		if containsAny(ch) {
-			return true
-		}
-	}
-	return false
 }
 
 // Text records one kept text child of the open element; nonWS reports
@@ -282,7 +227,7 @@ func (se *StreamEval) End(childW float64) (valid bool) {
 	return valid
 }
 
-// conforms is localConforms over the frame's accumulated state.
+// conforms is LocalValid over the frame's accumulated state.
 func (se *StreamEval) conforms(f *sframe) bool {
 	if !f.declared || f.decl == nil || f.degraded {
 		// Undeclared elements are never counted valid by the recorder; a
@@ -300,13 +245,7 @@ func (se *StreamEval) conforms(f *sframe) bool {
 	case modeMixed:
 		return f.mixedOK
 	default:
-		if f.hasText {
-			return false
-		}
-		if f.useTags {
-			return validate.MatchModel(f.decl, f.tags)
-		}
-		return f.vbits[f.a.accept/64]&(1<<(uint(f.a.accept)%64)) != 0
+		return !f.hasText && f.run.Accepts()
 	}
 }
 
@@ -386,14 +325,9 @@ func (se *StreamEval) consume(p *sframe, cid int32, name string, childDeclared b
 			p.mixedOK = false
 		}
 	case modeContent:
-		if p.degraded {
-			return
+		if !p.degraded {
+			p.run.Step(name)
 		}
-		if p.useTags {
-			p.tags = append(p.tags, name)
-			return
-		}
-		se.vStep(p, cid)
 	}
 }
 
@@ -435,56 +369,6 @@ func (se *StreamEval) dpStep(p *sframe, cid int32, childW float64, delta Triple)
 	}
 	p.cells, p.spare = next, cur
 	se.e.relaxEps(a, p.cells, &se.sc)
-}
-
-// vStep advances the validity reachable set by one child element: exact-ID
-// symbol moves, then the zero-minus epsilon closure.
-// dtdvet:noalloc
-func (se *StreamEval) vStep(p *sframe, cid int32) {
-	a := p.a
-	for i := range p.vspare {
-		p.vspare[i] = 0
-	}
-	for w, word := range p.vbits {
-		for word != 0 {
-			s := w*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			for _, edge := range a.syms[s] {
-				if cid != intern.None && cid == edge.id {
-					p.vspare[edge.to/64] |= 1 << (uint(edge.to) % 64)
-				}
-			}
-		}
-	}
-	p.vbits, p.vspare = p.vspare, p.vbits
-	se.closure0(a, p.vbits)
-}
-
-// closure0 closes bits over the automaton's zero-minus epsilon edges (the
-// structural edges; skip edges carry a positive minus and are excluded).
-// dtdvet:noalloc
-func (se *StreamEval) closure0(a *nfa, set []uint64) {
-	work := se.sc.work[:0]
-	for w, word := range set {
-		for word != 0 {
-			work = append(work, w*64+bits.TrailingZeros64(word))
-			word &= word - 1
-		}
-	}
-	for len(work) > 0 {
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-		for _, edge := range a.eps[s] {
-			if edge.minus != 0 {
-				continue
-			}
-			if set[edge.to/64]&(1<<(uint(edge.to)%64)) == 0 {
-				set[edge.to/64] |= 1 << (uint(edge.to) % 64)
-				work = append(work, edge.to)
-			}
-		}
-	}
-	se.sc.work = work[:0]
 }
 
 // Result returns the evaluation after the root element has closed: the

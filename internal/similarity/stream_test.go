@@ -139,10 +139,10 @@ func TestStreamEvalShallowDepthCap(t *testing.T) {
 	}
 }
 
-// TestStreamEvalNestedAny covers the validator/automaton divergence: a
-// content model with ANY nested under a sequence matches any segment for
-// the validator, which the streaming path must reproduce through the
-// buffered-tag fallback.
+// TestStreamEvalNestedAny covers a content model with ANY nested under a
+// sequence: the validator's automaton matches any segment there, and the
+// streaming path's validity must agree while its alignment automaton
+// scores the same documents.
 func TestStreamEvalNestedAny(t *testing.T) {
 	d := dtd.NewDTD("root")
 	d.Elements["root"] = &dtd.Content{Kind: dtd.Seq, Children: []*dtd.Content{

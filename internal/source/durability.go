@@ -18,6 +18,7 @@
 package source
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
@@ -54,6 +55,20 @@ type walOp struct {
 	MaxChildren int `json:"max_children,omitempty"`
 }
 
+// encodeOp serializes one journal record. HTML escaping is off, so the
+// markup of a journaled document keeps its size instead of growing every
+// < and > into a six-byte \u003c escape; the decoder reads both spellings,
+// so segments written with escaping still replay.
+func encodeOp(op walOp) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(op); err != nil {
+		return nil, err
+	}
+	return b.Bytes()[:b.Len()-1], nil // drop Encode's trailing newline
+}
+
 // journalLocked appends one operation to the attached WAL. Callers hold the
 // write lock, so the append order is exactly the commit order. A failed
 // append marks the source degraded (sticky): the in-memory state the caller
@@ -71,7 +86,7 @@ func (s *Source) journalLocked(op walOp) {
 	if s.wal == nil && sink == nil {
 		return
 	}
-	payload, err := json.Marshal(op)
+	payload, err := encodeOp(op)
 	if err != nil {
 		// Marshalling a walOp (strings only) cannot fail; treat it as a
 		// degraded log all the same rather than dropping the record.
@@ -125,7 +140,7 @@ func (s *Source) journalBatchLocked(payloads [][]byte) (flush *wal.Log) {
 // journalLocked would.
 // dtdvet:requires mu
 func (s *Source) encodeOpLocked(op walOp) []byte {
-	payload, err := json.Marshal(op)
+	payload, err := encodeOp(op)
 	if err != nil {
 		s.walErr = fmt.Errorf("source: encoding WAL record: %w", err)
 		s.metrics.ObserveWALError()

@@ -1,6 +1,7 @@
 package source
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -547,4 +548,65 @@ func TestCheckpointerBackground(t *testing.T) {
 	if got, want := snapshotOf(t, recovered), snapshotOf(t, s); !reflect.DeepEqual(got, want) {
 		t.Errorf("state after checkpointed recovery diverges:\n got: %v\nwant: %v", got, want)
 	}
+}
+
+// TestRecoverHTMLEscapedJournal replays a journal written with HTML
+// escaping (every < of a document as \u003c), the encoding older segments
+// carry: it must recover to the same snapshot as the unescaped journal of
+// the same operations.
+func TestRecoverHTMLEscapedJournal(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := New(testConfig())
+	live.AttachWAL(w)
+	runScript(t, live, durabilityScript)
+	if err := live.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	escapedDir := t.TempDir()
+	escaped, err := wal.Open(escapedDir, wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Replay(dir, func(p []byte) error {
+		if bytes.Contains(p, []byte(`\u003c`)) {
+			t.Errorf("journal record is HTML-escaped: %s", p)
+		}
+		var o walOp
+		if err := json.Unmarshal(p, &o); err != nil {
+			return err
+		}
+		old, err := json.Marshal(o)
+		if err != nil {
+			return err
+		}
+		return escaped.Append(old)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := escaped.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw := walBytes(t, escapedDir); !bytes.Contains(raw, []byte(`\u003c`)) {
+		t.Fatal("escaped journal holds no \\u003c escape")
+	}
+
+	want := mustSnapshot(t, recoverFrom(t, dir))
+	if got := mustSnapshot(t, recoverFrom(t, escapedDir)); got != want {
+		t.Errorf("escaped journal recovers to a different snapshot\nunescaped: %s\nescaped:   %s", want, got)
+	}
+}
+
+func recoverFrom(t *testing.T, dir string) *Source {
+	t.Helper()
+	s, _, err := Recover(testConfig(), nil, dir, wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.CloseWAL() })
+	return s
 }

@@ -33,7 +33,6 @@
 package source
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -97,7 +96,7 @@ func newCommitReq(doc *xmltree.Document, cls classify.Result, gen uint64, hasWAL
 		// write lock. Marshalling a walOp (strings only) cannot fail; a
 		// nil payload falls back to in-lock journaling, which reports the
 		// failure through the degraded path.
-		req.payload, _ = json.Marshal(walOp{Op: "doc", Text: doc.String()})
+		req.payload, _ = encodeOp(walOp{Op: "doc", Text: doc.String()})
 	}
 	return req
 }

@@ -265,8 +265,13 @@ type AddResult struct {
 // across DTDs), then the commit re-acquires the write lock. If the DTD set
 // changed in between (another Add evolved a DTD, or AddDTD ran), the
 // document is re-scored under the write lock before being recorded.
+//
+// Every tag is interned first, in document order, as the pull parser
+// interns a streamed document: a streamed document that lands in the
+// repository replays through Add to the same symbol table.
 func (s *Source) Add(doc *xmltree.Document) AddResult {
 	start := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
+	intern.InternDocument(s.tab, doc.Root)
 	s.mu.RLock()
 	gen := s.gen
 	hasWAL := s.wal != nil && !s.replaying && s.walErr == nil
@@ -325,6 +330,10 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 	s.metrics.ObserveBatch()
 
 	start := time.Now()
+	// Intern serially, in input order, as repeated Adds would.
+	for _, doc := range docs {
+		intern.InternDocument(s.tab, doc.Root)
+	}
 	s.mu.RLock()
 	gen := s.gen
 	hasWAL := s.wal != nil && !s.replaying && s.walErr == nil

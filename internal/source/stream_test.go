@@ -337,3 +337,39 @@ func TestAddStreamStoreRaw(t *testing.T) {
 		}
 	}
 }
+
+// TestAddStreamRepositoryReplaysSymbols: the pull parser interns every tag
+// it reads, so a streamed document that lands in the repository adds its
+// names to the symbol table live. Replaying its "doc" record through Add
+// must intern the same names in the same order: the recovered snapshot is
+// byte-identical to the live one.
+func TestAddStreamRepositoryReplaysSymbols(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	s := New(cfg)
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachWAL(w)
+	s.AddDTD("feed", feedDTD(t))
+	res, err := s.AddStream(strings.NewReader(`<zebra><quux/><gnu>x</gnu></zebra>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Classified {
+		t.Fatalf("stray document classified: %+v", res)
+	}
+	live := mustSnapshot(t, s)
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, _, err := Recover(cfg, nil, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.CloseWAL()
+	if got := mustSnapshot(t, recovered); got != live {
+		t.Errorf("recovered snapshot diverges\nlive:      %s\nrecovered: %s", live, got)
+	}
+}

@@ -3,16 +3,17 @@
 // approach, and the ground-truth notion of validity that the similarity
 // measure must agree with (global similarity 1 ⟺ valid).
 //
-// Content-model matching is a memoized dynamic program over the model tree
-// and child-tag segments, equivalent in power to matching with Brzozowski
-// derivatives but allocation-free on the model side. Matchers (and their
-// memo tables and tag scratch) are pooled per Validator, so the recording
-// hot path — LocalValid on every element of every document — does not
-// allocate at steady state.
+// Content-model matching runs one Thompson-style automaton per content
+// model (automaton.go) as a reachable-state bitset, advanced once per child
+// element: deciding an element's local validity is linear in its children.
+// Automata are compiled on first use and cached per Validator, and run
+// scratch is pooled, so the recording hot path — LocalValid on every
+// element of every document — does not allocate at steady state.
 package validate
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -35,34 +36,19 @@ func (v Violation) String() string {
 }
 
 // Validator validates documents against one DTD. A Validator is safe for
-// concurrent use: its only mutable state is a pool of matcher scratch.
+// concurrent use: its only mutable state is the automaton cache.
 type Validator struct {
 	d *dtd.DTD
-	// mixed precomputes the allowed-label set of every mixed content model
-	// of d; read-only after New. Models not in the map (foreign models
-	// passed to LocalValid directly) fall back to a per-call set.
-	mixed    map[*dtd.Content]map[string]bool
-	matchers sync.Pool
+	// autos maps each content model LocalValid has seen to its automaton
+	// (*dtd.Content → *Automaton). Models compile on first use, never in
+	// New: a registry keeps thousands of validators live and exercises few
+	// of their models. Concurrent stream lanes share the cache.
+	autos sync.Map
 }
 
 // New returns a Validator for d.
 func New(d *dtd.DTD) *Validator {
-	v := &Validator{d: d, mixed: map[*dtd.Content]map[string]bool{}}
-	for _, model := range d.Elements {
-		if model != nil && model.IsMixed() {
-			v.mixed[model] = labelSet(model)
-		}
-	}
-	v.matchers.New = func() any { return newMatcher() }
-	return v
-}
-
-func labelSet(model *dtd.Content) map[string]bool {
-	allowed := make(map[string]bool)
-	for _, l := range model.Labels() {
-		allowed[l] = true
-	}
-	return allowed
+	return &Validator{d: d}
 }
 
 // Valid reports whether the whole document is valid for the DTD.
@@ -123,55 +109,55 @@ func childPath(parent, name string, i int) string {
 // LocalValid reports whether element n's direct content conforms to model:
 // the paper's one-level validity, whose numeric counterpart is local
 // similarity. It does not descend into grandchildren. LocalValid never
-// allocates — it sits on the recording hot path, called once per element of
-// every document; diagnostics belong to localViolation.
+// allocates at steady state — it sits on the recording hot path, called
+// once per element of every document; diagnostics belong to
+// localViolation.
 func (v *Validator) LocalValid(n *xmltree.Node, model *dtd.Content) bool {
-	return v.localConforms(n, model)
-}
-
-// localConforms is the allocation-free boolean core of local validation.
-func (v *Validator) localConforms(n *xmltree.Node, model *dtd.Content) bool {
 	switch {
 	case model == nil || model.Kind == dtd.Any:
 		return true
 	case model.Kind == dtd.Empty:
 		return len(n.Children) == 0
-	case model.Kind == dtd.PCDATA:
-		for _, c := range n.Children {
-			if c.Kind == xmltree.Element {
-				return false
-			}
-		}
-		return true
-	case model.IsMixed():
-		allowed, ok := v.mixed[model]
-		if !ok {
-			allowed = labelSet(model)
-		}
-		for _, c := range n.Children {
-			if c.Kind == xmltree.Element && !allowed[c.Name] {
-				return false
-			}
-		}
-		return true
-	default:
-		if n.HasText() {
-			return false
-		}
-		m := v.matchers.Get().(*matcher)
-		tags := m.fillTags(n)
-		ok := m.match(model, tags)
-		m.reset()
-		v.matchers.Put(m)
-		return ok
+	case !model.IsMixed() && n.HasText():
+		return false
 	}
+	r := runs.Get().(*Run)
+	r.Reset(v.Automaton(model))
+	for _, c := range n.Children {
+		if c.Kind == xmltree.Element && !r.Step(c.Name) {
+			break
+		}
+	}
+	ok := r.Accepts()
+	runs.Put(r)
+	return ok
+}
+
+// Automaton returns the automaton LocalValid runs for the children of an
+// element declared with model, compiling and caching it on first use. A
+// mixed model admits its labels in any order and number. Safe for
+// concurrent use.
+func (v *Validator) Automaton(model *dtd.Content) *Automaton {
+	if a, ok := v.autos.Load(model); ok {
+		return a.(*Automaton)
+	}
+	src := model
+	if model.IsMixed() {
+		var names []*dtd.Content
+		for _, l := range model.Labels() {
+			names = append(names, dtd.NewName(l))
+		}
+		src = dtd.NewStar(dtd.NewChoice(names...))
+	}
+	a, _ := v.autos.LoadOrStore(model, compile(src))
+	return a.(*Automaton)
 }
 
 // localViolation returns "" when n's direct content conforms to model, or a
-// description of the mismatch. Messages are only built after localConforms
+// description of the mismatch. Messages are only built after LocalValid
 // fails, so ValidateDocument on a valid document allocates no diagnostics.
 func (v *Validator) localViolation(n *xmltree.Node, model *dtd.Content) string {
-	if v.localConforms(n, model) {
+	if v.LocalValid(n, model) {
 		return ""
 	}
 	switch {
@@ -180,12 +166,9 @@ func (v *Validator) localViolation(n *xmltree.Node, model *dtd.Content) string {
 	case model.Kind == dtd.PCDATA:
 		return fmt.Sprintf("declared (#PCDATA) but has element children %v", n.ChildTags())
 	case model.IsMixed():
-		allowed, ok := v.mixed[model]
-		if !ok {
-			allowed = labelSet(model)
-		}
+		allowed := model.Labels()
 		for _, c := range n.Children {
-			if c.Kind == xmltree.Element && !allowed[c.Name] {
+			if c.Kind == xmltree.Element && !slices.Contains(allowed, c.Name) {
 				return fmt.Sprintf("element <%s> not allowed in mixed content %s", c.Name, model)
 			}
 		}
@@ -206,145 +189,12 @@ func compactTags(tags []string) string {
 // model exactly. It treats the model as an element-content model; PCDATA
 // leaves match the empty sequence (character data carries no child tags).
 func MatchModel(model *dtd.Content, tags []string) bool {
-	return newMatcher().match(model, tags)
-}
-
-// matcher memoizes content-model matching per (model node, segment). The
-// memo is keyed by model node and segment, so a matcher is only valid for
-// a single tag sequence; reset clears it (retaining map buckets and tag
-// capacity) for reuse on the next sequence.
-type matcher struct {
-	memo    map[memoKey]bool
-	seqMemo map[seqKey]bool
-	tags    []string
-}
-
-type memoKey struct {
-	node *dtd.Content
-	star bool // key for the implicit Star used to expand Plus
-	i, j int
-}
-
-type seqKey struct {
-	node    *dtd.Content
-	k, i, j int
-}
-
-func newMatcher() *matcher {
-	return &matcher{memo: make(map[memoKey]bool), seqMemo: make(map[seqKey]bool)}
-}
-
-// fillTags loads the direct child tags of n into the matcher's scratch.
-func (m *matcher) fillTags(n *xmltree.Node) []string {
-	m.tags = m.tags[:0]
-	for _, c := range n.Children {
-		if c.Kind == xmltree.Element {
-			m.tags = append(m.tags, c.Name)
+	var r Run
+	r.Reset(compile(model))
+	for _, t := range tags {
+		if !r.Step(t) {
+			return false
 		}
 	}
-	return m.tags
-}
-
-// reset prepares the matcher for a different tag sequence.
-func (m *matcher) reset() {
-	clear(m.memo)
-	clear(m.seqMemo)
-}
-
-// match reports whether model matches exactly tags[0:len(tags)].
-func (m *matcher) match(model *dtd.Content, tags []string) bool {
-	return m.seg(model, tags, 0, len(tags))
-}
-
-// seg reports whether model matches tags[i:j].
-func (m *matcher) seg(c *dtd.Content, tags []string, i, j int) bool {
-	key := memoKey{node: c, i: i, j: j}
-	if v, ok := m.memo[key]; ok {
-		return v
-	}
-	v := m.segUncached(c, tags, i, j)
-	m.memo[key] = v
-	return v
-}
-
-func (m *matcher) segUncached(c *dtd.Content, tags []string, i, j int) bool {
-	switch c.Kind {
-	case dtd.Empty, dtd.PCDATA:
-		return i == j
-	case dtd.Any:
-		return true
-	case dtd.Name:
-		return j == i+1 && tags[i] == c.Name
-	case dtd.Opt:
-		return i == j || m.seg(c.Children[0], tags, i, j)
-	case dtd.Star:
-		return m.star(c.Children[0], tags, i, j)
-	case dtd.Plus:
-		inner := c.Children[0]
-		for k := i + 1; k <= j; k++ {
-			if m.seg(inner, tags, i, k) && m.star(inner, tags, k, j) {
-				return true
-			}
-		}
-		// A nullable inner may match tags[i:i] once, satisfying the +.
-		return inner.Nullable() && m.star(inner, tags, i, j)
-	case dtd.Choice:
-		for _, ch := range c.Children {
-			if m.seg(ch, tags, i, j) {
-				return true
-			}
-		}
-		return false
-	case dtd.Seq:
-		return m.seq(c, tags, 0, i, j)
-	default:
-		return false
-	}
-}
-
-// star reports whether zero or more repetitions of inner match tags[i:j].
-func (m *matcher) star(inner *dtd.Content, tags []string, i, j int) bool {
-	key := memoKey{node: inner, star: true, i: i, j: j}
-	if v, ok := m.memo[key]; ok {
-		return v
-	}
-	v := false
-	if i == j {
-		v = true
-	} else {
-		// Each repetition must consume at least one tag, or the recursion
-		// would not terminate; an empty repetition adds nothing anyway.
-		for k := i + 1; k <= j; k++ {
-			if m.seg(inner, tags, i, k) && m.star(inner, tags, k, j) {
-				v = true
-				break
-			}
-		}
-	}
-	m.memo[key] = v
-	return v
-}
-
-// seq reports whether c.Children[k:] match tags[i:j].
-func (m *matcher) seq(c *dtd.Content, tags []string, k, i, j int) bool {
-	if k == len(c.Children) {
-		return i == j
-	}
-	first := c.Children[k]
-	if k == len(c.Children)-1 {
-		return m.seg(first, tags, i, j)
-	}
-	key := seqKey{node: c, k: k, i: i, j: j}
-	if v, ok := m.seqMemo[key]; ok {
-		return v
-	}
-	v := false
-	for mid := i; mid <= j; mid++ {
-		if m.seg(first, tags, i, mid) && m.seq(c, tags, k+1, mid, j) {
-			v = true
-			break
-		}
-	}
-	m.seqMemo[key] = v
-	return v
+	return r.Accepts()
 }

@@ -122,9 +122,8 @@ type Log struct {
 	activeSize int64  // dtdvet:guarded_by mu
 	nextSeq    uint64 // dtdvet:guarded_by mu
 	// buf is the reusable frame buffer behind zero-alloc appends.
-	buf   []byte // dtdvet:guarded_by mu
-	err   error  // dtdvet:guarded_by mu -- sticky first write/sync failure
-	dirty bool   // dtdvet:guarded_by mu -- unsynced appends awaiting a flush
+	buf []byte // dtdvet:guarded_by mu
+	err error  // dtdvet:guarded_by mu -- sticky first write/sync failure
 	// flushed is how many of the appended bytes a completed fsync (or a
 	// segment seal, which syncs before closing) has made durable. Flush
 	// skips the disk entirely when a concurrent flusher already covered the
@@ -289,8 +288,6 @@ func (l *Log) Append(payload []byte) error {
 		}
 		l.syncs.Add(1)
 		l.flushed = l.bytes.Load()
-	case SyncInterval:
-		l.dirty = true
 	}
 	return nil
 }
@@ -380,8 +377,6 @@ func (l *Log) appendBatchLocked(payloads [][]byte, syncNow bool) error {
 		}
 		l.syncs.Add(1)
 		l.flushed = l.bytes.Load()
-	case l.opts.Sync != SyncOff:
-		l.dirty = true
 	}
 	return nil
 }
@@ -402,7 +397,6 @@ func (l *Log) rotateLocked() error {
 			return l.err
 		}
 		l.active = nil
-		l.dirty = false
 		l.rotations.Add(1)
 	}
 	f, err := l.opts.FS.Create(filepath.Join(l.dir, segmentName(l.nextSeq)))
@@ -440,7 +434,6 @@ func (l *Log) Rotate() (uint64, error) {
 			return 0, l.err
 		}
 		l.active = nil
-		l.dirty = false
 		l.rotations.Add(1)
 	}
 	return l.nextSeq, nil
@@ -504,7 +497,6 @@ func (l *Log) syncLocked() error {
 	}
 	l.syncs.Add(1)
 	l.flushed = l.bytes.Load()
-	l.dirty = false
 	return nil
 }
 
@@ -551,13 +543,12 @@ func (l *Log) Flush() error {
 	if covered > l.flushed {
 		l.flushed = covered
 	}
-	if l.activeSeq == seq && l.bytes.Load() == covered {
-		l.dirty = false
-	}
 	return l.err
 }
 
-// syncLoop is the SyncInterval background flusher.
+// syncLoop is the SyncInterval background flusher. It calls Flush, which
+// fsyncs outside the mutex (an Append arriving mid-sync does not wait for
+// the disk) and skips a tick whose bytes an earlier sync already covered.
 func (l *Log) syncLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	ticker := time.NewTicker(l.opts.SyncEvery)
@@ -565,11 +556,7 @@ func (l *Log) syncLoop(stop <-chan struct{}, done chan<- struct{}) {
 	for {
 		select {
 		case <-ticker.C:
-			l.mu.Lock()
-			if l.dirty && l.err == nil {
-				_ = l.syncLocked() // failure is sticky; Err surfaces it
-			}
-			l.mu.Unlock()
+			_ = l.Flush() // dtdvet:allow errsync -- a sync failure is sticky; Err surfaces it
 		case <-stop:
 			return
 		}

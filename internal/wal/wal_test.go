@@ -461,3 +461,62 @@ func TestFlushFailureIsSticky(t *testing.T) {
 		t.Error("Err() = nil after a Flush failure")
 	}
 }
+
+// parkingFS creates segment files whose Sync parks until release closes,
+// announcing each parked call on parked.
+type parkingFS struct {
+	parked, release chan struct{}
+}
+
+func (fs *parkingFS) Create(path string) (File, error) {
+	f, err := osFS{}.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	return &parkingFile{File: f, fs: fs}, nil
+}
+
+func (fs *parkingFS) Remove(path string) error { return os.Remove(path) }
+
+type parkingFile struct {
+	File
+	fs *parkingFS
+}
+
+func (f *parkingFile) Sync() error {
+	select {
+	case f.fs.parked <- struct{}{}:
+	default:
+	}
+	<-f.fs.release
+	return f.File.Sync()
+}
+
+// TestIntervalSyncDoesNotBlockAppend parks the interval tick inside its
+// fsync and checks that an Append still completes: the tick must not hold
+// the log's mutex across the disk round-trip.
+func TestIntervalSyncDoesNotBlockAppend(t *testing.T) {
+	fs := &parkingFS{parked: make(chan struct{}, 1), release: make(chan struct{})}
+	l, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Millisecond, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	<-fs.parked // the tick is now inside its fsync
+	appended := make(chan error, 1)
+	go func() { appended <- l.Append([]byte("second")) }()
+	select {
+	case err := <-appended:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Append waited for the interval fsync")
+	}
+	close(fs.release)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
