@@ -114,6 +114,37 @@ func BenchmarkParseDocument(b *testing.B) {
 	}
 }
 
+// eventLogDTDSrc is the log-event schema of the durable-stream workload
+// (httpbench): one document carries hundreds of events.
+const eventLogDTDSrc = `
+<!ELEMENT log (event)*>
+<!ELEMENT event (ts, level, msg, trace?)>
+<!ELEMENT ts (#PCDATA)>
+<!ELEMENT level (#PCDATA)>
+<!ELEMENT msg (#PCDATA)>
+<!ELEMENT trace (#PCDATA)>`
+
+// BenchmarkParseLogDocument parses a ~60 KB log of 800 generated events,
+// shaped like the documents durable-stream ingests and replays: the tree
+// parse at the size where per-node costs dominate.
+func BenchmarkParseLogDocument(b *testing.B) {
+	event := dtd.MustParse(eventLogDTDSrc)
+	event.Name = "event"
+	g := gen.New(gen.DefaultConfig(42))
+	root := xmltree.NewElement("log")
+	for i := 0; i < 800; i++ {
+		root.Children = append(root.Children, g.Document(event).Root)
+	}
+	src := (&xmltree.Document{Root: root}).String()
+	b.SetBytes(int64(len(src)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dtdevolve.ParseDocumentString(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkParseDTD(b *testing.B) {
 	src := benchDTD.String()
 	for i := 0; i < b.N; i++ {

@@ -12,19 +12,15 @@
 //	          [-wal dir] [-fsync always|interval|off] [-fsync-interval 100ms] \
 //	          [-wal-segment 4194304] [-checkpoint 30s] \
 //	          [-group-commit] [-group-max 64] [-group-wait 0] \
-//	          [-classify-exact] [-classify-topk 16] \
 //	          [-shards 1] [-shard-key X-Doc-Key] \
 //	          [-follow url] [-replica-listen :8081] [-max-staleness 0] \
 //	          [-follower-id id]
 //
 // Classification consults a signature index that prunes the candidate DTD
-// set before any similarity alignment runs. The default (-classify-exact)
-// skips a DTD only when a similarity upper bound proves skipping cannot
-// change the winner or the classified/unclassified outcome; with
-// -classify-exact=false only the -classify-topk best-ranked candidates are
-// scored (faster on huge registries, may misclassify borderline documents).
-// GET /metrics reports candidate counts and the achieved prune ratio. See
-// DESIGN.md §12.
+// set before any similarity alignment runs. It skips a DTD only when a
+// similarity upper bound proves skipping cannot change the winner or the
+// classified/unclassified outcome. GET /metrics reports candidate counts
+// and the achieved prune ratio. See DESIGN.md §12.
 //
 // With -group-commit, concurrent commits are batched by a leader/follower
 // scheme: the first committer drains every commit that queued behind it
@@ -104,7 +100,6 @@ import (
 
 	"dtdevolve"
 	"dtdevolve/internal/api"
-	"dtdevolve/internal/classify"
 	"dtdevolve/internal/docstore"
 	"dtdevolve/internal/replicate"
 	"dtdevolve/internal/source"
@@ -125,8 +120,6 @@ func main() {
 	groupCommit := flag.Bool("group-commit", false, "batch concurrent commits into shared WAL appends (one fsync per group)")
 	groupMax := flag.Int("group-max", source.DefaultMaxGroup, "maximum documents per commit group (with -group-commit)")
 	groupWait := flag.Duration("group-wait", 0, "how long a commit leader waits for its group to fill (with -group-commit; 0: natural batching)")
-	classifyExact := flag.Bool("classify-exact", true, "prune candidate DTDs only when the similarity upper bound proves the winner is unaffected")
-	classifyTopK := flag.Int("classify-topk", classify.DefaultTopK, "candidates scored per document when -classify-exact=false")
 	shards := flag.Int("shards", 1, "number of independent ingest shards (1: unsharded; omit to adopt an existing -wal directory's manifest)")
 	shardKey := flag.String("shard-key", api.DefaultKeyHeader, "request header carrying the document routing key (with -shards)")
 	shardSeed := flag.Uint64("shard-seed", 0, "rendezvous hash seed for a NEW sharded deployment (0: default; existing manifests keep their seed)")
@@ -143,8 +136,6 @@ func main() {
 	cfg.Sigma = *sigma
 	cfg.Tau = *tau
 	cfg.MinDocs = *minDocs
-	cfg.ClassifyApprox = !*classifyExact
-	cfg.ClassifyTopK = *classifyTopK
 	cfg.MaxDocBytes = *maxDocBytes
 	cfg.MaxChildren = *maxChildren
 

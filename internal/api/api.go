@@ -426,7 +426,7 @@ func (h *Handler) addDocument(w http.ResponseWriter, r *http.Request) {
 		}
 		doc, perr := parseDocument(data)
 		if perr != nil {
-			writeError(w, http.StatusBadRequest, "parsing document: %v", perr)
+			writeError(w, parseStatus(perr), "parsing document: %v", perr)
 			return
 		}
 		res, err = h.eng.AddDocument(r.Context(), r.Header.Get(h.keyHeader), doc)
@@ -488,7 +488,7 @@ func (h *Handler) addBatch(w http.ResponseWriter, r *http.Request) {
 	for i, src := range req.Documents {
 		doc, err := parseDocument([]byte(src))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "parsing document %d: %v", i, err)
+			writeError(w, parseStatus(err), "parsing document %d: %v", i, err)
 			return
 		}
 		docs[i] = doc

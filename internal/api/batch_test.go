@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -81,6 +82,36 @@ func TestReadBodyTooLarge(t *testing.T) {
 	resp, out := do(t, "POST", srv.URL+"/documents", strings.Repeat("<a>", 100))
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d (%v), want 413", resp.StatusCode, out)
+	}
+}
+
+// TestEntityExpansionTooLarge checks that a buffered document whose
+// declared entities expand past the body budget is refused with 413, on
+// POST /documents and /documents/batch alike: 381 bytes whose entities
+// nest six levels deep, ten references each, expand to 10 MB of text.
+func TestEntityExpansionTooLarge(t *testing.T) {
+	old := maxBodyBytes
+	maxBodyBytes = 2048
+	defer func() { maxBodyBytes = old }()
+	var b strings.Builder
+	b.WriteString(`<!DOCTYPE a [<!ENTITY e0 "xxxxxxxxxx">`)
+	for i := 1; i <= 6; i++ {
+		fmt.Fprintf(&b, `<!ENTITY e%d "%s">`, i, strings.Repeat(fmt.Sprintf("&e%d;", i-1), 10))
+	}
+	b.WriteString(`]><a>&e6;</a>`)
+	bomb := b.String()
+	srv, _ := newServer(t)
+	resp, out := do(t, "POST", srv.URL+"/documents", bomb)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /documents: status = %d (%v), want 413", resp.StatusCode, out)
+	}
+	batch, err := json.Marshal(map[string][]string{"documents": {bomb}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out = do(t, "POST", srv.URL+"/documents/batch", string(batch))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST /documents/batch: status = %d (%v), want 413", resp.StatusCode, out)
 	}
 }
 

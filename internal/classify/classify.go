@@ -58,22 +58,6 @@ type Result struct {
 	All map[string]float64
 }
 
-// DefaultTopK is the candidate budget of the approximate mode when
-// Options.TopK is unset.
-const DefaultTopK = 16
-
-// Options selects how the classifier prunes candidates. The zero value is
-// the exact mode: results are identical to exhaustive scoring.
-type Options struct {
-	// Approx switches to the fixed-budget mode: only the TopK candidates
-	// with the highest similarity upper bounds are scored. The winner can
-	// differ from exhaustive scoring when the true best DTD's bound ranks
-	// below the budget.
-	Approx bool
-	// TopK is the approximate-mode candidate budget; 0 means DefaultTopK.
-	TopK int
-}
-
 // Stats are cumulative classification counters, all monotone.
 type Stats struct {
 	// Classifications counts ClassifyElement/ClassifyExhaustive calls.
@@ -127,7 +111,6 @@ type Classifier struct {
 	pruned          atomic.Int64
 
 	mu       sync.RWMutex
-	opts     Options             // dtdvet:guarded_by mu
 	dtds     map[string]*dtd.DTD // dtdvet:guarded_by mu
 	sigs     map[string]*dtdSig  // dtdvet:guarded_by mu
 	postings map[int32][]*dtdSig // dtdvet:guarded_by mu -- inverted index: label ID → signatures of DTDs whose alphabet has it
@@ -164,13 +147,6 @@ func (c *Classifier) Sigma() float64 { return c.sigma }
 
 // Table returns the symbol table shared by the classifier's pools.
 func (c *Classifier) Table() *intern.Table { return c.tab }
-
-// Configure sets the pruning options for subsequent classifications.
-func (c *Classifier) Configure(opts Options) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.opts = opts
-}
 
 // Stats returns a snapshot of the cumulative classification counters.
 func (c *Classifier) Stats() Stats {
@@ -322,15 +298,6 @@ func (c *Classifier) classifyLocked(root *xmltree.Node, exhaustive bool) Result 
 		sig := extractSig(root, c.tab.View(), c.cfg.Decay, c.depthCap)
 		plan = c.candidatePlanLocked(sig)
 		c.candidates.Add(int64(len(plan)))
-		if c.opts.Approx {
-			k := c.opts.TopK
-			if k <= 0 {
-				k = DefaultTopK
-			}
-			if len(plan) > k {
-				plan = plan[:k]
-			}
-		}
 		prune = true
 	}
 	c.scorePlan(plan, root, prune)

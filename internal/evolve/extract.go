@@ -385,8 +385,11 @@ func (e *engine) p1() bool {
 		l := e.C[i].labels[0]
 		classes[find(l)] = append(classes[find(l)], i)
 	}
-	for _, indices := range classes {
-		if len(indices) < 2 {
+	// Visit the classes in elems order, the e.C order every other policy
+	// scans: which class merges first decides the evolved declaration.
+	for _, i := range elems {
+		indices := classes[find(e.C[i].labels[0])]
+		if indices[0] != i || len(indices) < 2 {
 			continue
 		}
 		var class []string

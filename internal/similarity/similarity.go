@@ -204,13 +204,15 @@ func (e *Evaluator) Table() *intern.Table { return e.tab }
 // docID resolves the interned ID of a document element's tag: the node's
 // cached LabelID when it verifiably belongs to this evaluator's table
 // (documents are stamped by the source engine at recording time), else a
-// fresh intern — lock-free unless the tag has never been seen.
+// lock-free lookup. Scoring never interns: a tag the table has not seen
+// resolves to intern.None, which matches no DTD label, and the source
+// assigns new IDs only when it commits the document.
 // dtdvet:noalloc
 func (e *Evaluator) docID(n *xmltree.Node) int32 {
 	if id := n.LabelID(); id > 0 && e.tab.NameIs(id, n.Name) {
 		return id
 	}
-	return e.tab.Intern(n.Name)
+	return e.tab.ID(n.Name)
 }
 
 // Evaluate computes the global and local similarity of the document rooted

@@ -3,7 +3,12 @@ package source
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"sync"
 	"testing"
+
+	"dtdevolve/internal/wal"
+	"dtdevolve/internal/xmltree"
 )
 
 // TestSnapshotBytesDeterministic pins the sorted-key emission in
@@ -89,6 +94,94 @@ func TestRestoreV1SnapshotDeterministic(t *testing.T) {
 		}
 		if !bytes.Equal(snap, first) {
 			t.Fatalf("restore %d of the same v1 snapshot emits different bytes:\n got:   %s\n first: %s", i, snap, first)
+		}
+	}
+}
+
+// pairedTagsDoc is an article carrying its own mutually implied pair of
+// undeclared tags, n{g}_{i}_a and n{g}_{i}_b.
+func pairedTagsDoc(t *testing.T, g, i int) *xmltree.Document {
+	return parseDoc(t, fmt.Sprintf(`<article><title>t</title><n%d_%d_a/><n%d_%d_b/><body>b</body></article>`, g, i, g, i))
+}
+
+// TestEvolutionRepeatsSerially pins evolution as a function of the Add
+// sequence: ten fresh sources fed the same serial Adds must evolve the
+// same declarations. Each document carries its own mutually implied pair
+// of undeclared tags, so policy 1 has many classes to choose from: taking
+// whichever one a map iteration meets first would change the order of the
+// evolved OR alternatives from run to run.
+func TestEvolutionRepeatsSerially(t *testing.T) {
+	run := func() string {
+		s := New(testConfig())
+		s.AddDTD("article", articleDTD())
+		for i := 0; i < 30; i++ {
+			s.Add(pairedTagsDoc(t, i%4, i))
+		}
+		return s.DTD("article").String()
+	}
+	want := run()
+	for r := 1; r < 10; r++ {
+		if got := run(); got != want {
+			t.Fatalf("repeat %d evolved a different DTD:\n got: %s\nwant: %s", r, got, want)
+		}
+	}
+}
+
+// TestConcurrentAddsRecoverSameSnapshot pins symbol IDs to journal order:
+// after concurrent Adds of documents with undeclared tags, the live
+// snapshot must be byte-identical to the one Recover rebuilds from the
+// journal, on the serial commit path and under group commit. Interning
+// before the write lock would let concurrent Adds interleave their new IDs,
+// while replay assigns them in journal order.
+func TestConcurrentAddsRecoverSameSnapshot(t *testing.T) {
+	const writers, perWriter, trials = 4, 30, 20
+	docs := make([][]*xmltree.Document, writers)
+	for g := range docs {
+		for i := 0; i < perWriter; i++ {
+			docs[g] = append(docs[g], pairedTagsDoc(t, g, i))
+		}
+	}
+	for _, group := range []bool{false, true} {
+		for trial := 0; trial < trials; trial++ {
+			dir := t.TempDir()
+			w, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff})
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := New(testConfig())
+			if group {
+				live.EnableGroupCommit(GroupCommitOptions{})
+			}
+			live.AttachWAL(w)
+			live.AddDTD("article", articleDTD())
+			var wg sync.WaitGroup
+			for g := 0; g < writers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for _, d := range docs[g] {
+						// A fresh tree per Add: a committed document is
+						// the source's from then on.
+						live.Add(&xmltree.Document{Root: d.Root.Clone()})
+					}
+				}()
+			}
+			wg.Wait()
+			want, err := live.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.CloseWAL(); err != nil {
+				t.Fatal(err)
+			}
+			recovered := recoverFrom(t, dir)
+			got, err := recovered.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("group commit %v, trial %d: recovered snapshot differs from the live one\nlive:      %s\nrecovered: %s", group, trial, want, got)
+			}
 		}
 	}
 }

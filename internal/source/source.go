@@ -72,17 +72,10 @@ type Config struct {
 	Similarity similarity.Config
 	// Evolve configures the evolution phase.
 	Evolve evolve.Config
-	// ClassifyApprox switches classification to the approximate candidate
-	// mode: only the ClassifyTopK candidates with the best similarity upper
-	// bounds are scored. The default (false) is the exact mode, whose
-	// pruned results are provably identical to exhaustive scoring.
-	ClassifyApprox bool
-	// ClassifyTopK is the approximate-mode candidate budget; 0 means
-	// classify.DefaultTopK. Ignored in exact mode.
-	ClassifyTopK int
 	// MaxDocBytes bounds the size of one document on the streaming ingest
-	// path (and, at the serving layer, the tree path); 0 means unlimited.
-	// Oversized documents are rejected with xmltree.SizeError.
+	// path (and, at the serving layer, the tree path), counting the text
+	// its declared entities expand to; 0 means unlimited. Oversized
+	// documents are rejected with xmltree.SizeError.
 	MaxDocBytes int64
 	// MaxChildren bounds the kept children of one element on the streaming
 	// path; an element over the budget degrades (its sequence escalates to
@@ -181,7 +174,6 @@ type Source struct {
 func New(cfg Config) *Source {
 	tab := intern.NewTable()
 	classifier := classify.NewWithTable(cfg.Sigma, cfg.Similarity, tab)
-	classifier.Configure(classify.Options{Approx: cfg.ClassifyApprox, TopK: cfg.ClassifyTopK})
 	return &Source{
 		cfg:        cfg,
 		entries:    make(map[string]*entry),
@@ -266,12 +258,10 @@ type AddResult struct {
 // changed in between (another Add evolved a DTD, or AddDTD ran), the
 // document is re-scored under the write lock before being recorded.
 //
-// Every tag is interned first, in document order, as the pull parser
-// interns a streamed document: a streamed document that lands in the
-// repository replays through Add to the same symbol table.
+// Classification only looks tags up; the commit interns them
+// (recordLocked), so symbol IDs follow journal order.
 func (s *Source) Add(doc *xmltree.Document) AddResult {
 	start := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
-	intern.InternDocument(s.tab, doc.Root)
 	s.mu.RLock()
 	gen := s.gen
 	hasWAL := s.wal != nil && !s.replaying && s.walErr == nil
@@ -330,10 +320,6 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 	s.metrics.ObserveBatch()
 
 	start := time.Now()
-	// Intern serially, in input order, as repeated Adds would.
-	for _, doc := range docs {
-		intern.InternDocument(s.tab, doc.Root)
-	}
 	s.mu.RLock()
 	gen := s.gen
 	hasWAL := s.wal != nil && !s.replaying && s.walErr == nil
@@ -588,6 +574,13 @@ func (s *Source) fireTriggers(res *AddResult) {
 // otherwise. Callers hold the write lock.
 // dtdvet:requires mu
 func (s *Source) recordLocked(doc *xmltree.Document, cls classify.Result) AddResult {
+	// Intern and stamp every committed document's tags, classified or not,
+	// here under the write lock: new symbols then get their IDs in journal
+	// order, the order replay assigns them, and the recorder (same table)
+	// resolves every tag by a verified cached ID. Node IDs are atomics, so
+	// a concurrent classification of the same tree (e.g. a caller reusing
+	// a document) stays race-free.
+	intern.InternDocument(s.tab, doc.Root)
 	res := AddResult{DTDName: cls.DTDName, Similarity: cls.Similarity, Classified: cls.Classified, Candidates: cls.Candidates}
 	s.metrics.ObserveDocument(cls.Classified)
 	if !cls.Classified {
@@ -596,12 +589,6 @@ func (s *Source) recordLocked(doc *xmltree.Document, cls classify.Result) AddRes
 		return res
 	}
 	e := s.entries[cls.DTDName]
-	// Stamp the document's label IDs before recording. Safe here: the write
-	// lock makes this the tree's only writer, and the recorder (same table)
-	// then resolves every tag by a verified cached ID instead of a map
-	// lookup. Node IDs are atomics, so a concurrent classification of the
-	// same tree (e.g. a caller reusing a document) stays race-free.
-	intern.InternDocument(s.tab, doc.Root)
 	e.rec.Record(doc)
 	e.docs++
 	if s.store != nil {

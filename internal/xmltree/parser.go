@@ -1,12 +1,12 @@
 package xmltree
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
-	"unicode/utf8"
+	"sync"
 )
 
 // ParseError is a well-formedness or syntax error with its position in the
@@ -30,10 +30,12 @@ type Options struct {
 	// MaxDepth bounds element nesting to guard against hostile inputs.
 	// Zero means the default of 1024.
 	MaxDepth int
-	// MaxBytes bounds the total input size in bytes. Inputs past the cap
-	// fail with *SizeError instead of being read to completion, so a
-	// hostile or runaway document cannot exhaust memory through the
-	// tree-building path. Zero means unlimited.
+	// MaxBytes bounds the input size in bytes plus the replacement text of
+	// every declared-entity reference expanded, so neither a long document
+	// nor a short one with nested entities can exhaust memory. Past the cap
+	// the parse fails with *SizeError; the input is not read to completion.
+	// Predefined entities and character references are not counted: they
+	// never expand past the reference itself. Zero means unlimited.
 	MaxBytes int64
 }
 
@@ -56,15 +58,25 @@ func Parse(r io.Reader) (*Document, error) {
 
 // ParseWithOptions reads an entire XML document from r using opts.
 func ParseWithOptions(r io.Reader, opts Options) (*Document, error) {
+	data, err := readInput(r, opts.MaxBytes)
+	if err != nil {
+		return nil, err
+	}
+	return parseBytes(data, opts)
+}
+
+// readInput reads r to the end, failing with *SizeError once it holds more
+// than maxBytes bytes (when maxBytes > 0).
+func readInput(r io.Reader, maxBytes int64) ([]byte, error) {
 	var data []byte
 	var err error
-	if opts.MaxBytes > 0 {
+	if maxBytes > 0 {
 		// Read one byte past the cap so an exactly-at-limit input is
 		// distinguishable from an over-limit one without buffering the
 		// excess.
-		data, err = io.ReadAll(io.LimitReader(r, opts.MaxBytes+1))
-		if err == nil && int64(len(data)) > opts.MaxBytes {
-			return nil, &SizeError{Limit: opts.MaxBytes}
+		data, err = io.ReadAll(io.LimitReader(r, maxBytes+1))
+		if err == nil && int64(len(data)) > maxBytes {
+			return nil, &SizeError{Limit: maxBytes}
 		}
 	} else {
 		data, err = io.ReadAll(r)
@@ -72,12 +84,14 @@ func ParseWithOptions(r io.Reader, opts Options) (*Document, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xml: reading input: %w", err)
 	}
-	return parseBytes(data, opts)
+	return data, nil
 }
 
 // ParseString parses a document held in a string.
 func ParseString(s string) (*Document, error) {
-	return parseBytes([]byte(s), Options{})
+	st := treeStreamers.Get().(*Streamer)
+	st.tree.str.Reset(s)
+	return st.parseTree(&st.tree.str, Options{})
 }
 
 // ParseFile parses the XML document stored at path.
@@ -89,86 +103,109 @@ func ParseFile(path string) (*Document, error) {
 	return parseBytes(data, Options{})
 }
 
-type parser struct {
-	src      []byte
-	pos      int
-	line     int
-	col      int
-	opts     Options
-	entities map[string]string // general entities from the internal subset
-	maxDepth int
-}
+// treeStreamers pools the streamers behind parseBytes, so a tree parse
+// reuses the read window, stacks and scratch buffers of earlier ones.
+var treeStreamers = sync.Pool{New: func() any { return new(Streamer) }}
 
+// maxPooledText caps the text buffer a pooled streamer keeps. A tree parse
+// never spills, so one long text run would otherwise pin its whole length
+// in the pool. Re-growing costs only documents with longer runs: one of
+// 240 KB parses about 25% slower and allocates 5x the bytes.
+const maxPooledText = textSpillSize
+
+// parseBytes parses src with a pooled streamer.
 func parseBytes(src []byte, opts Options) (*Document, error) {
-	p := &parser{
-		src:      src,
-		line:     1,
-		col:      1,
-		opts:     opts,
-		maxDepth: opts.MaxDepth,
-		entities: map[string]string{
-			"lt":   "<",
-			"gt":   ">",
-			"amp":  "&",
-			"apos": "'",
-			"quot": `"`,
-		},
-	}
-	if p.maxDepth <= 0 {
-		p.maxDepth = defaultMaxDepth
-	}
-	return p.parseDocument()
+	s := treeStreamers.Get().(*Streamer)
+	s.tree.bytes.Reset(src)
+	return s.parseTree(&s.tree.bytes, opts)
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	return &ParseError{Line: p.line, Column: p.col, Msg: fmt.Sprintf(format, args...)}
-}
-
-func (p *parser) eof() bool { return p.pos >= len(p.src) }
-
-func (p *parser) peek() byte {
-	if p.eof() {
-		return 0
+// parseTree builds the document tree by driving the streamer over in with
+// its tree sink switched on: the streamer's own scanner, DOCTYPE reader
+// and entity expander decide everything, and the sink only records what
+// they produce. The streamer goes back to the pool.
+func (s *Streamer) parseTree(in io.Reader, opts Options) (*Document, error) {
+	s.Reset(in, StreamOptions{Options: opts})
+	s.tree.on = true
+	var err error
+	for err == nil {
+		_, err = s.Next()
 	}
-	return p.src[p.pos]
+	var doc *Document
+	if err == io.EOF {
+		doc, err = &Document{Doctype: s.doctype, Root: s.tree.root}, nil
+	}
+	s.releaseTree()
+	treeStreamers.Put(s)
+	return doc, err
 }
 
-func (p *parser) advance() byte {
-	c := p.src[p.pos]
-	p.pos++
-	if c == '\n' {
-		p.line++
-		p.col = 1
+// treeSink is the part of a Streamer that builds a Document for Parse. It
+// mirrors the open-element stack with Nodes: openElement opens a Node,
+// parseAttr attaches each attribute as it is expanded, flushText adds each
+// kept text run and closeTop closes the Node.
+type treeSink struct {
+	on    bool
+	bytes bytes.Reader
+	str   strings.Reader
+	root  *Node
+	// path holds the open elements, innermost last. While a start tag is
+	// being parsed its Node is already on top, one ahead of the stack.
+	path []openNode
+	// kids holds the children parsed so far of every open element, each
+	// element's after those of its ancestors. Closing an element copies
+	// its run into one right-sized Children slice.
+	kids []*Node
+}
+
+// openNode is an open element and where its children start in kids.
+type openNode struct {
+	n     *Node
+	first int
+}
+
+func (t *treeSink) open(name string) {
+	n := &Node{Kind: Element, Name: name}
+	if len(t.path) == 0 {
+		t.root = n
 	} else {
-		p.col++
+		t.kids = append(t.kids, n)
 	}
-	return c
+	t.path = append(t.path, openNode{n: n, first: len(t.kids)})
 }
 
-func (p *parser) hasPrefix(s string) bool {
-	// Compare in place: converting the whole remaining input to a string
-	// would copy it, making text-heavy parses quadratic.
-	return len(p.src)-p.pos >= len(s) && string(p.src[p.pos:p.pos+len(s)]) == s
+func (t *treeSink) top() *Node { return t.path[len(t.path)-1].n }
+
+func (t *treeSink) text(data string) { t.kids = append(t.kids, NewText(data)) }
+
+func (t *treeSink) close() {
+	o := t.path[len(t.path)-1]
+	t.path = t.path[:len(t.path)-1]
+	if kids := t.kids[o.first:]; len(kids) > 0 {
+		o.n.Children = append([]*Node(nil), kids...)
+		clear(kids)
+		t.kids = t.kids[:o.first]
+	}
 }
 
-func (p *parser) expect(s string) error {
-	if !p.hasPrefix(s) {
-		return p.errf("expected %q", s)
+// releaseTree drops every reference to the parsed document and its input,
+// so a pooled streamer does not keep the last tree alive, along with any
+// buffer one oversized document grew.
+func (s *Streamer) releaseTree() {
+	clear(s.tree.path[:cap(s.tree.path)])
+	clear(s.tree.kids[:cap(s.tree.kids)])
+	s.tree = treeSink{path: s.tree.path[:0], kids: s.tree.kids[:0]}
+	s.in = nil
+	s.doctype = nil
+	s.err = nil
+	if s.declared {
+		s.entities = nil // declared values are substrings of the subset
 	}
-	for range s {
-		p.advance()
+	if cap(s.textBuf) > maxPooledText {
+		s.textBuf = nil
 	}
-	return nil
-}
-
-func (p *parser) skipSpace() {
-	for !p.eof() {
-		switch p.peek() {
-		case ' ', '\t', '\r', '\n':
-			p.advance()
-		default:
-			return
-		}
+	if len(s.buf) > streamBufSize {
+		s.buf = nil
 	}
 }
 
@@ -180,220 +217,9 @@ func isNameChar(c byte) bool {
 	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
 }
 
-func (p *parser) readName() (string, error) {
-	if p.eof() || !isNameStart(p.peek()) {
-		return "", p.errf("expected a name")
-	}
-	start := p.pos
-	for !p.eof() && isNameChar(p.peek()) {
-		p.advance()
-	}
-	return string(p.src[start:p.pos]), nil
-}
-
-func (p *parser) parseDocument() (*Document, error) {
-	doc := &Document{}
-	// Optional byte-order mark.
-	if p.hasPrefix("\xef\xbb\xbf") {
-		p.pos += 3
-	}
-	// Prolog: XML declaration, comments, PIs, doctype.
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return nil, p.errf("no root element")
-		}
-		switch {
-		case p.hasPrefix("<?"):
-			if err := p.skipPI(); err != nil {
-				return nil, err
-			}
-		case p.hasPrefix("<!--"):
-			if err := p.skipComment(); err != nil {
-				return nil, err
-			}
-		case p.hasPrefix("<!DOCTYPE"):
-			if doc.Doctype != nil {
-				return nil, p.errf("multiple DOCTYPE declarations")
-			}
-			dt, err := p.parseDoctype()
-			if err != nil {
-				return nil, err
-			}
-			doc.Doctype = dt
-		case p.peek() == '<':
-			root, err := p.parseElement(0)
-			if err != nil {
-				return nil, err
-			}
-			doc.Root = root
-			// Trailing misc: comments, PIs, whitespace only.
-			for {
-				p.skipSpace()
-				if p.eof() {
-					return doc, nil
-				}
-				switch {
-				case p.hasPrefix("<!--"):
-					if err := p.skipComment(); err != nil {
-						return nil, err
-					}
-				case p.hasPrefix("<?"):
-					if err := p.skipPI(); err != nil {
-						return nil, err
-					}
-				default:
-					return nil, p.errf("content after root element")
-				}
-			}
-		default:
-			return nil, p.errf("unexpected character %q before root element", p.peek())
-		}
-	}
-}
-
-func (p *parser) skipPI() error {
-	if err := p.expect("<?"); err != nil {
-		return err
-	}
-	for !p.eof() {
-		if p.hasPrefix("?>") {
-			p.advance()
-			p.advance()
-			return nil
-		}
-		p.advance()
-	}
-	return p.errf("unterminated processing instruction")
-}
-
-func (p *parser) skipComment() error {
-	if err := p.expect("<!--"); err != nil {
-		return err
-	}
-	for !p.eof() {
-		if p.hasPrefix("-->") {
-			p.advance()
-			p.advance()
-			p.advance()
-			return nil
-		}
-		if p.hasPrefix("--") && !p.hasPrefix("-->") {
-			return p.errf(`"--" is not allowed inside comments`)
-		}
-		p.advance()
-	}
-	return p.errf("unterminated comment")
-}
-
-func (p *parser) parseDoctype() (*Doctype, error) {
-	if err := p.expect("<!DOCTYPE"); err != nil {
-		return nil, err
-	}
-	p.skipSpace()
-	name, err := p.readName()
-	if err != nil {
-		return nil, err
-	}
-	dt := &Doctype{Name: name}
-	p.skipSpace()
-	if p.hasPrefix("PUBLIC") {
-		if err := p.expect("PUBLIC"); err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if dt.PublicID, err = p.readQuoted(); err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if dt.SystemID, err = p.readQuoted(); err != nil {
-			return nil, err
-		}
-	} else if p.hasPrefix("SYSTEM") {
-		if err := p.expect("SYSTEM"); err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if dt.SystemID, err = p.readQuoted(); err != nil {
-			return nil, err
-		}
-	}
-	p.skipSpace()
-	if p.peek() == '[' {
-		p.advance()
-		start := p.pos
-		depth := 0
-		for {
-			if p.eof() {
-				return nil, p.errf("unterminated internal DTD subset")
-			}
-			c := p.peek()
-			switch {
-			case c == ']' && depth == 0:
-				dt.InternalSubset = string(p.src[start:p.pos])
-				p.advance()
-			case c == '<':
-				// Declarations and comments may contain ']' inside quotes;
-				// skip markup atomically.
-				if err := p.skipSubsetMarkup(); err != nil {
-					return nil, err
-				}
-				continue
-			default:
-				p.advance()
-				continue
-			}
-			break
-		}
-		p.registerSubsetEntities(dt.InternalSubset)
-		p.skipSpace()
-	}
-	if p.eof() || p.peek() != '>' {
-		return nil, p.errf("expected '>' to close DOCTYPE")
-	}
-	p.advance()
-	return dt, nil
-}
-
-// skipSubsetMarkup consumes one markup declaration, PI, or comment inside
-// the internal subset, honoring quoted strings.
-func (p *parser) skipSubsetMarkup() error {
-	if p.hasPrefix("<!--") {
-		return p.skipComment()
-	}
-	if p.hasPrefix("<?") {
-		return p.skipPI()
-	}
-	// <!ELEMENT ...>, <!ATTLIST ...>, <!ENTITY ...>, <!NOTATION ...>
-	for !p.eof() {
-		c := p.advance()
-		if c == '"' || c == '\'' {
-			quote := c
-			for !p.eof() && p.peek() != quote {
-				p.advance()
-			}
-			if p.eof() {
-				return p.errf("unterminated literal in DTD internal subset")
-			}
-			p.advance()
-			continue
-		}
-		if c == '>' {
-			return nil
-		}
-	}
-	return p.errf("unterminated declaration in DTD internal subset")
-}
-
 // registerSubsetEntities extracts general-entity declarations from the
 // internal subset so that references in document content can be expanded.
 // Parameter entities are left to the dtd package.
-func (p *parser) registerSubsetEntities(subset string) {
-	registerSubsetEntities(subset, p.entities)
-}
-
-// registerSubsetEntities is the table-driven core shared with the streaming
-// parser: both must expand exactly the same entity set.
 func registerSubsetEntities(subset string, entities map[string]string) {
 	rest := subset
 	for {
@@ -437,247 +263,10 @@ func isSpaceByte(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\r' || c == '\n'
 }
 
-func (p *parser) readQuoted() (string, error) {
-	if p.eof() || (p.peek() != '"' && p.peek() != '\'') {
-		return "", p.errf("expected a quoted literal")
-	}
-	quote := p.advance()
-	start := p.pos
-	for !p.eof() && p.peek() != quote {
-		p.advance()
-	}
-	if p.eof() {
-		return "", p.errf("unterminated literal")
-	}
-	s := string(p.src[start:p.pos])
-	p.advance()
-	return s, nil
-}
-
-func (p *parser) parseElement(depth int) (*Node, error) {
-	if depth > p.maxDepth {
-		return nil, p.errf("element nesting exceeds %d", p.maxDepth)
-	}
-	if err := p.expect("<"); err != nil {
-		return nil, err
-	}
-	name, err := p.readName()
-	if err != nil {
-		return nil, err
-	}
-	node := &Node{Kind: Element, Name: name}
-	seen := make(map[string]bool)
-	for {
-		p.skipSpace()
-		if p.eof() {
-			return nil, p.errf("unterminated start tag <%s", name)
-		}
-		switch {
-		case p.hasPrefix("/>"):
-			p.advance()
-			p.advance()
-			return node, nil
-		case p.peek() == '>':
-			p.advance()
-			if err := p.parseContent(node, depth); err != nil {
-				return nil, err
-			}
-			return node, nil
-		default:
-			attrName, err := p.readName()
-			if err != nil {
-				return nil, p.errf("malformed start tag <%s", name)
-			}
-			if seen[attrName] {
-				return nil, p.errf("duplicate attribute %q on <%s>", attrName, name)
-			}
-			seen[attrName] = true
-			p.skipSpace()
-			if p.eof() || p.peek() != '=' {
-				return nil, p.errf("attribute %q missing '='", attrName)
-			}
-			p.advance()
-			p.skipSpace()
-			raw, err := p.readQuoted()
-			if err != nil {
-				return nil, err
-			}
-			val, err := p.expandEntities(raw)
-			if err != nil {
-				return nil, err
-			}
-			node.Attrs = append(node.Attrs, Attr{Name: attrName, Value: val})
-		}
-	}
-}
-
-func (p *parser) parseContent(parent *Node, depth int) error {
-	var text strings.Builder
-	flush := func() error {
-		if text.Len() == 0 {
-			return nil
-		}
-		data, err := p.expandEntities(text.String())
-		if err != nil {
-			return err
-		}
-		text.Reset()
-		if !p.opts.PreserveWhitespace && strings.TrimSpace(data) == "" {
-			return nil
-		}
-		parent.Children = append(parent.Children, NewText(data))
-		return nil
-	}
-	for {
-		if p.eof() {
-			return p.errf("missing end tag </%s>", parent.Name)
-		}
-		switch {
-		case p.hasPrefix("</"):
-			if err := flush(); err != nil {
-				return err
-			}
-			p.advance()
-			p.advance()
-			name, err := p.readName()
-			if err != nil {
-				return err
-			}
-			if name != parent.Name {
-				return p.errf("end tag </%s> does not match <%s>", name, parent.Name)
-			}
-			p.skipSpace()
-			if p.eof() || p.peek() != '>' {
-				return p.errf("malformed end tag </%s", name)
-			}
-			p.advance()
-			return nil
-		case p.hasPrefix("<!--"):
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := p.skipComment(); err != nil {
-				return err
-			}
-		case p.hasPrefix("<![CDATA["):
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := p.expect("<![CDATA["); err != nil {
-				return err
-			}
-			start := p.pos
-			for !p.eof() && !p.hasPrefix("]]>") {
-				p.advance()
-			}
-			if p.eof() {
-				return p.errf("unterminated CDATA section")
-			}
-			data := string(p.src[start:p.pos])
-			p.advance()
-			p.advance()
-			p.advance()
-			if p.opts.PreserveWhitespace || strings.TrimSpace(data) != "" {
-				parent.Children = append(parent.Children, NewText(data))
-			}
-		case p.hasPrefix("<?"):
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := p.skipPI(); err != nil {
-				return err
-			}
-		case p.peek() == '<':
-			if err := flush(); err != nil {
-				return err
-			}
-			child, err := p.parseElement(depth + 1)
-			if err != nil {
-				return err
-			}
-			parent.Children = append(parent.Children, child)
-		default:
-			text.WriteByte(p.advance())
-		}
-	}
-}
-
-// expandEntities resolves character and entity references in raw character
-// data or attribute values.
-func (p *parser) expandEntities(s string) (string, error) {
-	return p.expandEntitiesDepth(s, 0)
-}
-
-// maxEntityDepth bounds nested entity expansion (billion-laughs guard).
+// maxEntityDepth bounds nested entity expansion, which stops recursive
+// entities; Options.MaxBytes bounds how much the expansion may produce.
 const maxEntityDepth = 16
 
 var predefinedEntities = map[string]bool{
 	"lt": true, "gt": true, "amp": true, "apos": true, "quot": true,
-}
-
-func (p *parser) expandEntitiesDepth(s string, depth int) (string, error) {
-	if !strings.ContainsRune(s, '&') {
-		return s, nil
-	}
-	if depth > maxEntityDepth {
-		return "", p.errf("entity expansion too deep (possible recursion)")
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c != '&' {
-			b.WriteByte(c)
-			i++
-			continue
-		}
-		end := strings.IndexByte(s[i:], ';')
-		if end < 0 {
-			return "", p.errf("unterminated entity reference")
-		}
-		ref := s[i+1 : i+end]
-		i += end + 1
-		if strings.HasPrefix(ref, "#") {
-			r, err := parseCharRef(ref)
-			if err != nil {
-				return "", p.errf("%v", err)
-			}
-			b.WriteRune(r)
-			continue
-		}
-		val, ok := p.entities[ref]
-		if !ok {
-			return "", p.errf("reference to undeclared entity %q", ref)
-		}
-		if predefinedEntities[ref] {
-			// Predefined entities expand to literal characters that are
-			// not rescanned (that is the point of &amp; and friends).
-			b.WriteString(val)
-			continue
-		}
-		// Declared entity replacement text may itself contain references.
-		expanded, err := p.expandEntitiesDepth(val, depth+1)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(expanded)
-	}
-	return b.String(), nil
-}
-
-func parseCharRef(ref string) (rune, error) {
-	body := ref[1:]
-	base := 10
-	if strings.HasPrefix(body, "x") || strings.HasPrefix(body, "X") {
-		body = body[1:]
-		base = 16
-	}
-	n, err := strconv.ParseUint(body, base, 32)
-	if err != nil {
-		return 0, fmt.Errorf("invalid character reference &%s;", ref)
-	}
-	r := rune(n)
-	if !utf8.ValidRune(r) {
-		return 0, fmt.Errorf("character reference &%s; is not a valid rune", ref)
-	}
-	return r, nil
 }

@@ -1,8 +1,10 @@
 package xmltree
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func mustParse(t *testing.T, s string) *Document {
@@ -215,6 +217,27 @@ func TestParseErrorPosition(t *testing.T) {
 	if perr.Line != 2 {
 		t.Errorf("error line = %d, want 2", perr.Line)
 	}
+	// Reference errors in text point at the '&'; a literal cut off by the
+	// end of input points just past its last byte.
+	for _, tc := range []struct {
+		src       string
+		line, col int
+	}{
+		{`<a>&undefined;</a>`, 1, 4},
+		{`<a>&#xZZ;</a>`, 1, 4},
+		{`<a x="v`, 1, 7},
+		{`<!DOCTYPE a [<!ENTITY e "&e;">]><a>&e;</a>`, 1, 36},
+	} {
+		_, err := ParseString(tc.src)
+		perr, ok := err.(*ParseError)
+		if !ok {
+			t.Errorf("%q: error type = %T (%v), want *ParseError", tc.src, err, err)
+			continue
+		}
+		if perr.Line != tc.line || perr.Column != tc.col {
+			t.Errorf("%q: error at %d:%d, want %d:%d", tc.src, perr.Line, perr.Column, tc.line, tc.col)
+		}
+	}
 }
 
 func TestParseDepthLimit(t *testing.T) {
@@ -248,4 +271,31 @@ func TestParseUTF8Content(t *testing.T) {
 	if doc.Root.ChildElements()[0].Name != "名前" {
 		t.Errorf("child = %q", doc.Root.ChildElements()[0].Name)
 	}
+}
+
+// TestParseReleasesTree checks that a streamer back in the pool holds no
+// reference to the document it built: the tree must be collectable while
+// the streamer itself is still alive.
+func TestParseReleasesTree(t *testing.T) {
+	s := new(Streamer)
+	src := `<!DOCTYPE a [<!ENTITY e "v">]><a x="1"><b>&e;</b>` + strings.Repeat("t", 2*maxPooledText) + `</a>`
+	doc, err := s.parseTree(strings.NewReader(src), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	runtime.SetFinalizer(doc.Root.Children[0], func(*Node) { close(collected) })
+	doc = nil
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if s.tree.root != nil || s.doctype != nil || s.in != nil || cap(s.textBuf) > maxPooledText {
+				t.Errorf("released streamer still holds parse state: %+v", s.tree)
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the parsed tree is still reachable from the streamer that built it")
 }

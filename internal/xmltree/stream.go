@@ -1,12 +1,13 @@
 package xmltree
 
-// Streaming pull parser: the bounded-memory twin of parseBytes. A Streamer
-// reads the document through a fixed-size window and emits Start/Text/End
-// events instead of building a tree, so ingest memory is proportional to
-// the open-element path (plus the longest single text run), never the
-// document. Grammar, accepted language and kept-node decisions mirror the
-// tree parser exactly — the equivalence is pinned by stream_test.go over
-// the corpus and by a fuzz target cross-checking the two parsers.
+// Streaming pull parser: the package's one XML scanner. A Streamer reads
+// the document through a fixed-size window and emits Start/Text/End
+// events, so ingest memory is proportional to the open-element path (plus
+// the longest single text run), never the document. Parse builds its trees
+// from the same scanner through an internal tree sink (parser.go). The
+// frozen recursive-descent parser in legacy_test.go is the oracle: the
+// stream and tree tests and FuzzParseMatchesLegacy pin the accepted
+// language, kept nodes and canonical bytes against it.
 //
 // Three optional taps make the streamer a drop-in for the ingest pipeline:
 //
@@ -18,10 +19,12 @@ package xmltree
 //     document — byte-identical to Document.String() of the tree parse —
 //     so the WAL and docstore can journal the exact bytes the tree path
 //     would have, without materializing the document;
-//   - MaxBytes (via Options): total input budget, enforced as the cursor
-//     advances and reported as *SizeError.
+//   - MaxBytes (via Options): budget for input plus declared-entity
+//     expansion, enforced as the cursor advances and as entities expand,
+//     and reported as *SizeError.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -37,7 +40,7 @@ const (
 	// elements, immediately followed by the EndEvent).
 	StartEvent EventKind = iota + 1
 	// TextEvent marks one kept text node (a character-data run or CDATA
-	// section that the tree parser would have appended as a Text child).
+	// section that Parse appends as a Text child).
 	TextEvent
 	// EndEvent marks an element close.
 	EndEvent
@@ -47,8 +50,8 @@ const (
 // element tag (the canonical interned string when the streamer has a
 // symbol table) and ID its interned label (None without one). For Text
 // events, NonWS reports whether the node carries non-whitespace characters
-// — exactly Node.HasText of the tree twin; the data itself is not
-// retained.
+// — exactly Node.HasText of the parsed tree's text node; the data itself
+// is not retained.
 type Event struct {
 	Kind  EventKind
 	Name  string
@@ -65,8 +68,8 @@ type Interner interface {
 }
 
 // StreamOptions configures a Streamer. The embedded Options carry the
-// exact knobs of the tree parser (PreserveWhitespace, MaxDepth, MaxBytes)
-// with identical semantics.
+// knobs of Parse (PreserveWhitespace, MaxDepth, MaxBytes) with identical
+// semantics.
 type StreamOptions struct {
 	Options
 	// Symbols, when set, resolves element names to interned IDs.
@@ -110,10 +113,19 @@ type Streamer struct {
 	readErr error
 
 	consumed int64
+	// expanded counts the replacement text of declared entities expanded
+	// so far; MaxBytes bounds consumed+expanded.
+	expanded int64
 	line     int
 	col      int
 
 	entities map[string]string
+	// names caches element-name strings when there is no symbol table
+	// (nameString).
+	names map[string]string
+	// declared reports that an internal subset may have added to or
+	// changed entities since it held only the predefined five.
+	declared bool
 	doctype  *Doctype
 
 	stack   []streamFrame
@@ -141,6 +153,9 @@ type Streamer struct {
 	ipend, npend int
 
 	err error
+
+	// tree builds a Document when Parse drives the streamer (parser.go).
+	tree treeSink
 }
 
 // streamFrame is one open element. open tracks whether the canonical
@@ -176,19 +191,12 @@ func (s *Streamer) Reset(r io.Reader, opts StreamOptions) {
 	s.r, s.w = 0, 0
 	s.inEOF = false
 	s.readErr = nil
-	s.consumed = 0
+	s.consumed, s.expanded = 0, 0
 	s.line, s.col = 1, 1
-	if s.entities == nil {
-		s.entities = make(map[string]string, 8)
-	} else {
-		clear(s.entities)
+	if s.entities == nil || s.declared {
+		s.entities = map[string]string{"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": `"`}
+		s.declared = false
 	}
-	// Same seed set as parseBytes.
-	s.entities["lt"] = "<"
-	s.entities["gt"] = ">"
-	s.entities["amp"] = "&"
-	s.entities["apos"] = "'"
-	s.entities["quot"] = `"`
 	s.doctype = nil
 	s.stack = s.stack[:0]
 	s.state = streamProlog
@@ -284,10 +292,17 @@ func (s *Streamer) queue(ev Event) {
 }
 
 func (s *Streamer) checkBudget() error {
-	if s.opts.MaxBytes > 0 && s.consumed > s.opts.MaxBytes {
+	if s.opts.MaxBytes > 0 && s.consumed+s.expanded > s.opts.MaxBytes {
 		return &SizeError{Limit: s.opts.MaxBytes}
 	}
 	return nil
+}
+
+// chargeExpansion counts n bytes of declared-entity replacement text
+// against the budget before they are expanded.
+func (s *Streamer) chargeExpansion(n int) error {
+	s.expanded += int64(n)
+	return s.checkBudget()
 }
 
 func (s *Streamer) errf(format string, args ...any) error {
@@ -336,7 +351,7 @@ func (s *Streamer) peek() byte {
 }
 
 // advance consumes one buffered byte; callers must have established
-// availability via peek/fill/eof, as with the tree parser.
+// availability via peek/fill/eof.
 func (s *Streamer) advance() byte {
 	c := s.buf[s.r]
 	s.r++
@@ -353,17 +368,17 @@ func (s *Streamer) advance() byte {
 // advanceSpan consumes n buffered bytes, maintaining line/column.
 func (s *Streamer) advanceSpan(n int) {
 	b := s.buf[s.r : s.r+n]
-	for _, c := range b {
-		if c == '\n' {
-			s.line++
-			s.col = 1
-		} else {
-			s.col++
-		}
+	if i := bytes.LastIndexByte(b, '\n'); i >= 0 {
+		s.line += bytes.Count(b[:i+1], newline)
+		s.col = n - i
+	} else {
+		s.col += n
 	}
 	s.r += n
 	s.consumed += int64(n)
 }
+
+var newline = []byte{'\n'}
 
 func (s *Streamer) hasPrefix(str string) bool {
 	if s.fill(len(str)) < len(str) {
@@ -398,8 +413,13 @@ func (s *Streamer) readName() ([]byte, error) {
 		return nil, s.errf("expected a name")
 	}
 	i := 1
-	for s.fill(i+1) > i && isNameChar(s.buf[s.r+i]) {
-		i++
+	for {
+		for s.r+i < s.w && isNameChar(s.buf[s.r+i]) {
+			i++
+		}
+		if s.r+i < s.w || s.fill(i+1) <= i {
+			break // a non-name byte, or the end of input
+		}
 	}
 	nb := s.buf[s.r : s.r+i]
 	s.advanceSpan(i)
@@ -460,55 +480,25 @@ func (s *Streamer) canonOpenParent() error {
 	return nil
 }
 
-// escTextTo writes b to the canonical output with element-content escaping
-// (the byte-exact twin of EscapeText).
-func (s *Streamer) escTextTo(b []byte) error {
+// escTo writes b to the canonical output escaped byte for byte as
+// EscapeText does, or as EscapeAttr does when attr is set.
+func (s *Streamer) escTo(b []byte, attr bool) error {
 	if s.opts.Canon == nil {
 		return nil
 	}
 	start := 0
-	for i := 0; i < len(b); i++ {
+	for i, c := range b {
 		var esc string
-		switch b[i] {
-		case '&':
+		switch {
+		case c == '&':
 			esc = "&amp;"
-		case '<':
+		case c == '<':
 			esc = "&lt;"
-		case '>':
+		case c == '>':
 			esc = "&gt;"
-		default:
-			continue
-		}
-		if err := s.cwrite(b[start:i]); err != nil {
-			return err
-		}
-		if err := s.cstring(esc); err != nil {
-			return err
-		}
-		start = i + 1
-	}
-	return s.cwrite(b[start:])
-}
-
-// escAttrTo writes b with attribute-value escaping (the twin of
-// EscapeAttr).
-func (s *Streamer) escAttrTo(b []byte) error {
-	if s.opts.Canon == nil {
-		return nil
-	}
-	start := 0
-	for i := 0; i < len(b); i++ {
-		var esc string
-		switch b[i] {
-		case '&':
-			esc = "&amp;"
-		case '<':
-			esc = "&lt;"
-		case '>':
-			esc = "&gt;"
-		case '"':
+		case attr && c == '"':
 			esc = "&quot;"
-		case '\'':
+		case attr && c == '\'':
 			esc = "&apos;"
 		default:
 			continue
@@ -532,8 +522,7 @@ func (s *Streamer) stepProlog() error {
 		if err := s.cstring("<?xml version=\"1.0\"?>\n"); err != nil {
 			return err
 		}
-		// Optional byte-order mark: skipped without touching the column,
-		// like the tree parser.
+		// Optional byte-order mark: skipped without touching the column.
 		if s.fill(3) >= 3 && string(s.buf[s.r:s.r+3]) == "\xef\xbb\xbf" {
 			s.r += 3
 			s.consumed += 3
@@ -690,6 +679,7 @@ func (s *Streamer) parseDoctype() (*Doctype, error) {
 			break
 		}
 		registerSubsetEntities(dt.InternalSubset, s.entities)
+		s.declared = true
 		s.skipSpace()
 	}
 	if s.eof() || s.peek() != '>' {
@@ -701,8 +691,7 @@ func (s *Streamer) parseDoctype() (*Doctype, error) {
 
 // captureSubsetMarkup consumes one markup declaration, PI, or comment
 // inside the internal subset, honoring quoted strings, appending the raw
-// bytes to subset — the streaming twin of skipSubsetMarkup plus the tree
-// parser's raw-slice capture.
+// bytes to subset.
 func (s *Streamer) captureSubsetMarkup(subset []byte) ([]byte, error) {
 	if s.hasPrefix("<!--") {
 		subset = append(subset, "<!--"...)
@@ -762,9 +751,34 @@ func (s *Streamer) captureSubsetMarkup(subset []byte) ([]byte, error) {
 
 func (s *Streamer) top() *streamFrame { return &s.stack[len(s.stack)-1] }
 
+// maxNames bounds the element-name cache of a streamer without a symbol
+// table, so a document of many distinct names cannot make it grow without
+// limit.
+const maxNames = 256
+
+// nameString returns the element name spelled by nb. Without a symbol
+// table the streamer keeps its own small cache of name strings, so the
+// repeated tags of a document, and of later documents through a reused
+// streamer, share one allocation each.
+// dtdvet:noalloc
+func (s *Streamer) nameString(nb []byte) string {
+	if name, ok := s.names[string(nb)]; ok { // dtdvet:allow noalloc -- map-index string(b) is the compiler's no-copy special case
+		return name
+	}
+	name := string(nb) // dtdvet:allow noalloc -- first sighting of a name only; the source always passes Symbols
+	if len(s.names) < maxNames {
+		if s.names == nil {
+			s.names = make(map[string]string) // dtdvet:allow noalloc -- once per streamer
+		}
+		s.names[name] = name
+	}
+	return name
+}
+
 // openElement parses one start tag at the cursor (the '<' not yet
 // consumed), pushes its frame and queues the Start event (plus the End
-// event when self-closing).
+// event when self-closing). The tree sink opens the element's Node as soon
+// as its name is read, so the attributes can attach to it.
 // Window, stack, arena and value buffers are all reused across documents.
 // dtdvet:noalloc
 func (s *Streamer) openElement() error {
@@ -781,7 +795,10 @@ func (s *Streamer) openElement() error {
 	if s.opts.Symbols != nil {
 		id, name = s.opts.Symbols.InternBytes(nb)
 	} else {
-		name = string(nb) // dtdvet:allow noalloc -- no-interner configuration only; the source always passes Symbols
+		name = s.nameString(nb)
+	}
+	if s.tree.on {
+		s.tree.open(name)
 	}
 	if err := s.canonOpenParent(); err != nil {
 		return err
@@ -856,6 +873,10 @@ func (s *Streamer) parseAttr(elem string) error {
 	if s.valBuf, err = s.expandBytes(s.valBuf[:0], raw); err != nil {
 		return err
 	}
+	if s.tree.on {
+		n := s.tree.top()
+		n.Attrs = append(n.Attrs, Attr{Name: string(s.attrNames[nameStart:]), Value: string(s.valBuf)}) // dtdvet:allow noalloc -- tree sink only; streaming consumers leave it off
+	}
 	if s.opts.Canon != nil {
 		if err := s.cstring(" "); err != nil {
 			return err
@@ -866,7 +887,7 @@ func (s *Streamer) parseAttr(elem string) error {
 		if err := s.cstring(`="`); err != nil {
 			return err
 		}
-		if err := s.escAttrTo(s.valBuf); err != nil {
+		if err := s.escTo(s.valBuf, true); err != nil {
 			return err
 		}
 		if err := s.cstring(`"`); err != nil {
@@ -882,6 +903,9 @@ func (s *Streamer) parseAttr(elem string) error {
 func (s *Streamer) closeTop() error {
 	f := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
+	if s.tree.on {
+		s.tree.close()
+	}
 	if s.opts.Canon != nil {
 		if f.open {
 			if err := s.cstring("/>"); err != nil {
@@ -921,31 +945,24 @@ func (s *Streamer) stepContent() error {
 	if c == '&' {
 		return s.entityInText()
 	}
+	// Markup ends the text run, whatever it turns out to be.
+	if err := s.flushText(); err != nil {
+		return err
+	}
+	var next byte
+	if s.fill(2) >= 2 {
+		next = s.buf[s.r+1]
+	}
 	switch {
-	case s.hasPrefix("</"):
-		if err := s.flushText(); err != nil {
-			return err
-		}
+	case next == '/':
 		return s.closeTag()
-	case s.hasPrefix("<!--"):
-		if err := s.flushText(); err != nil {
-			return err
-		}
+	case next == '!' && s.hasPrefix("<!--"):
 		return s.skipComment()
-	case s.hasPrefix("<![CDATA["):
-		if err := s.flushText(); err != nil {
-			return err
-		}
+	case next == '!' && s.hasPrefix("<![CDATA["):
 		return s.cdata()
-	case s.hasPrefix("<?"):
-		if err := s.flushText(); err != nil {
-			return err
-		}
+	case next == '?':
 		return s.skipPI()
 	default:
-		if err := s.flushText(); err != nil {
-			return err
-		}
 		return s.openElement()
 	}
 }
@@ -967,16 +984,15 @@ func (s *Streamer) textChunk() error {
 }
 
 // entityInText expands one entity reference inside character data. The
-// tree parser expands at run-flush time, searching for ';' only within
-// the run (which ends at the next '<'): scanning up to '<' reproduces its
-// accept/reject decisions exactly.
+// search for ';' stops at the next '<', which ends the run: a reference
+// never spans markup.
 // dtdvet:noalloc
 func (s *Streamer) entityInText() error {
 	i := 1 // past '&'
 	for {
 		if s.fill(i+1) <= i {
-			// EOF inside the run: the tree parser errors on the missing
-			// end tag before ever expanding the run.
+			// EOF inside the run: the missing end tag is the error, as
+			// for any run the input ends in.
 			return s.errf("missing end tag </%s>", s.top().name) // dtdvet:allow noalloc -- cold error path, the parse is over
 		}
 		c := s.buf[s.r+i]
@@ -1047,9 +1063,10 @@ func (s *Streamer) cdata() error {
 // complete-rune prefix is flushed to the canonical output (or dropped when
 // there is none) so a long run cannot grow memory. Runs that are still
 // all-whitespace keep buffering, since their fate is unknown until the
-// run ends.
+// run ends. A tree-building streamer never spills: the Node needs the
+// whole run.
 func (s *Streamer) spillText() error {
-	if len(s.textBuf) < textSpillSize {
+	if len(s.textBuf) < textSpillSize || s.tree.on {
 		return nil
 	}
 	// Decide on the complete-rune prefix so a multi-byte whitespace rune
@@ -1070,16 +1087,16 @@ func (s *Streamer) spillText() error {
 		}
 		s.textSpilled = true
 	}
-	if err := s.escTextTo(s.textBuf[:cut]); err != nil {
+	if err := s.escTo(s.textBuf[:cut], false); err != nil {
 		return err
 	}
 	s.textBuf = append(s.textBuf[:0], s.textBuf[cut:]...)
 	return nil
 }
 
-// flushText ends the current text run, applying the tree parser's keep
-// rule (PreserveWhitespace, or non-whitespace content) and queueing the
-// Text event.
+// flushText ends the current text run, applying the keep rule
+// (PreserveWhitespace, or non-whitespace content) and queueing the Text
+// event; the tree sink appends the kept run as a text Node.
 // dtdvet:noalloc
 func (s *Streamer) flushText() error {
 	if !s.runActive {
@@ -1091,8 +1108,11 @@ func (s *Streamer) flushText() error {
 		if err := s.canonOpenParent(); err != nil {
 			return err
 		}
-		if err := s.escTextTo(s.textBuf); err != nil {
+		if err := s.escTo(s.textBuf, false); err != nil {
 			return err
+		}
+		if s.tree.on {
+			s.tree.text(string(s.textBuf)) // dtdvet:allow noalloc -- tree sink only; streaming consumers leave it off
 		}
 		s.queue(Event{Kind: TextEvent, NonWS: nonWS})
 	}
@@ -1145,7 +1165,9 @@ func completeRuneBoundary(b []byte) int {
 // ---- entity expansion ----
 
 // appendRef expands one reference (the bytes between '&' and ';') at the
-// given nesting depth, mirroring expandEntitiesDepth's per-reference body.
+// given nesting depth. A declared entity's replacement text is charged to
+// the byte budget before it is expanded, so nested entities fail with
+// *SizeError as soon as their output would pass MaxBytes.
 // dtdvet:noalloc
 func (s *Streamer) appendRef(dst []byte, ref []byte, depth int) ([]byte, error) {
 	if len(ref) > 0 && ref[0] == '#' {
@@ -1160,11 +1182,14 @@ func (s *Streamer) appendRef(dst []byte, ref []byte, depth int) ([]byte, error) 
 		// rescanned.
 		return append(dst, val...), nil
 	}
+	if err := s.chargeExpansion(len(val)); err != nil {
+		return dst, err
+	}
 	return s.expandString(dst, val, depth+1)
 }
 
 // expandString expands declared-entity replacement text, which may itself
-// contain references — the streaming twin of expandEntitiesDepth.
+// contain references.
 func (s *Streamer) expandString(dst []byte, v string, depth int) ([]byte, error) {
 	if !strings.ContainsRune(v, '&') {
 		return append(dst, v...), nil
@@ -1186,34 +1211,14 @@ func (s *Streamer) expandString(dst []byte, v string, depth int) ([]byte, error)
 		ref := v[i+1 : i+end]
 		i += end + 1
 		var err error
-		if dst, err = s.appendRefString(dst, ref, depth); err != nil {
+		if dst, err = s.appendRef(dst, []byte(ref), depth); err != nil {
 			return dst, err
 		}
 	}
 	return dst, nil
 }
 
-// appendRefString is appendRef for a reference already held as a string.
-func (s *Streamer) appendRefString(dst []byte, ref string, depth int) ([]byte, error) {
-	if strings.HasPrefix(ref, "#") {
-		r, err := parseCharRef(ref)
-		if err != nil {
-			return dst, s.errf("%v", err)
-		}
-		return utf8.AppendRune(dst, r), nil
-	}
-	val, ok := s.entities[ref]
-	if !ok {
-		return dst, s.errf("reference to undeclared entity %q", ref)
-	}
-	if predefinedEntities[ref] {
-		return append(dst, val...), nil
-	}
-	return s.expandString(dst, val, depth+1)
-}
-
-// expandBytes expands a raw attribute value — the twin of expandEntities
-// on a byte slice, appending into dst.
+// expandBytes expands a raw attribute value, appending into dst.
 func (s *Streamer) expandBytes(dst, v []byte) ([]byte, error) {
 	for i := 0; i < len(v); {
 		c := v[i]
@@ -1243,7 +1248,8 @@ func (s *Streamer) expandBytes(dst, v []byte) ([]byte, error) {
 }
 
 // appendCharRef appends the rune of a character reference ("#..." between
-// '&' and ';'), mirroring parseCharRef without leaving the byte domain.
+// '&' and ';'), decimal or hexadecimal, failing on anything that is not a
+// valid rune.
 // dtdvet:noalloc
 func (s *Streamer) appendCharRef(dst []byte, ref []byte) ([]byte, error) {
 	body := ref[1:]

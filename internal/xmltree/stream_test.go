@@ -1,12 +1,14 @@
 package xmltree_test
 
-// Equivalence tests for the streaming pull parser (stream.go): the event
-// stream must match a walk of the tree parse exactly (same kept nodes,
-// same names and NonWS bits), the canonical output must be byte-identical
-// to Document.String(), and accept/reject decisions must agree — pinned
-// over the corpus, handcrafted grammar corners, stress shapes (spill-size
-// text runs, one-byte readers) and a fuzz target cross-checking the two
-// parsers on arbitrary inputs.
+// Oracle tests for the pull parser (stream.go) and the trees Parse builds
+// from it. The oracle is the frozen recursive-descent parser of
+// legacy_test.go: the event stream must match a walk of its tree exactly
+// (same kept nodes, same names and NonWS bits), the canonical output must
+// be byte-identical to its Document.String(), Parse must build an equal
+// tree, and accept/reject decisions must agree — pinned over the corpus,
+// handcrafted grammar corners, stress shapes (spill-size text runs,
+// one-byte readers, concurrent pooled parses) and fuzz targets
+// cross-checking against the oracle on arbitrary inputs.
 
 import (
 	"bytes"
@@ -16,7 +18,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/iotest"
 
@@ -24,7 +28,7 @@ import (
 	"dtdevolve/internal/xmltree"
 )
 
-// treeEvents walks a tree-parsed document in document order, producing the
+// treeEvents walks a parsed document in document order, producing the
 // event sequence the streamer must emit for the same input.
 func treeEvents(root *xmltree.Node) []xmltree.Event {
 	var out []xmltree.Event
@@ -62,11 +66,13 @@ func streamCollect(input string, opts xmltree.Options, tab *intern.Table) ([]xml
 	return events, canon.String(), s.Doctype(), err
 }
 
-// checkStreamTree requires stream and tree parses of input to agree on
-// accept/reject, and on success on events, canonical bytes and doctype.
+// checkStreamTree requires the stream parse of input and the oracle's tree
+// to agree on accept/reject, and on success on events, canonical bytes and
+// doctype; Parse must match the oracle too (checkParseLegacy).
 func checkStreamTree(t *testing.T, label, input string, opts xmltree.Options) {
 	t.Helper()
-	doc, treeErr := xmltree.ParseWithOptions(strings.NewReader(input), opts)
+	checkParseLegacy(t, label, input, opts)
+	doc, treeErr := xmltree.LegacyParseWithOptions(strings.NewReader(input), opts)
 	tab := intern.NewTable()
 	events, canon, dt, streamErr := streamCollect(input, opts, tab)
 	if (treeErr == nil) != (streamErr == nil) {
@@ -125,7 +131,7 @@ func TestStreamParseMatchesTreeCorpus(t *testing.T) {
 }
 
 // streamCases are handcrafted grammar corners: each must parse (or fail)
-// identically through both parsers.
+// as the oracle does.
 var streamCases = []string{
 	`<a/>`,
 	`<a></a>`,
@@ -158,7 +164,7 @@ var streamCases = []string{
 	"<a> </a>",
 	"<a> \t\r\n\v\f </a>",
 	`<root xmlns:x="n"><x:e at="1"/></root>`,
-	// Reject cases: both parsers must fail.
+	// Reject cases: the oracle and the streamer must both fail.
 	``,
 	`   `,
 	`<a>`,
@@ -229,7 +235,7 @@ func TestStreamParseSpill(t *testing.T) {
 // prefix test crosses a read boundary.
 func TestStreamParseOneByteReader(t *testing.T) {
 	input := `<!DOCTYPE a [<!ENTITY e "v">]><a x="1 &e;"><!-- c --><b>t&e;<![CDATA[&raw;]]></b> <c/></a>`
-	doc, err := xmltree.ParseString(input)
+	doc, err := xmltree.LegacyParseWithOptions(strings.NewReader(input), xmltree.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +286,7 @@ func TestStreamParseReuse(t *testing.T) {
 			t.Errorf("doc %d: err %v, want error %v", i, err, wantErr[i])
 		}
 		if err == nil {
-			doc, terr := xmltree.ParseString(input)
+			doc, terr := xmltree.LegacyParseWithOptions(strings.NewReader(input), xmltree.Options{})
 			if terr != nil {
 				t.Fatal(terr)
 			}
@@ -291,8 +297,8 @@ func TestStreamParseReuse(t *testing.T) {
 	}
 }
 
-// TestParseMaxBytes pins the MaxBytes satellite on both paths: at-limit
-// inputs parse, over-limit inputs fail with *SizeError.
+// TestParseMaxBytes pins MaxBytes on Parse, the streamer and the oracle:
+// at-limit inputs parse, over-limit inputs fail with *SizeError.
 func TestParseMaxBytes(t *testing.T) {
 	input := `<a><b>hello</b></a>`
 	limit := int64(len(input))
@@ -306,9 +312,10 @@ func TestParseMaxBytes(t *testing.T) {
 		{"over limit", limit - 1, false},
 	} {
 		_, treeErr := xmltree.ParseWithOptions(strings.NewReader(input), xmltree.Options{MaxBytes: tc.limit})
+		_, legacyErr := xmltree.LegacyParseWithOptions(strings.NewReader(input), xmltree.Options{MaxBytes: tc.limit})
 		s := xmltree.StreamParse(strings.NewReader(input), xmltree.StreamOptions{Options: xmltree.Options{MaxBytes: tc.limit}})
 		streamErr := s.Events(func(xmltree.Event) error { return nil })
-		for path, err := range map[string]error{"tree": treeErr, "stream": streamErr} {
+		for path, err := range map[string]error{"tree": treeErr, "legacy": legacyErr, "stream": streamErr} {
 			if tc.ok && err != nil {
 				t.Errorf("%s %s: unexpected error %v", tc.name, path, err)
 			}
@@ -324,9 +331,10 @@ func TestParseMaxBytes(t *testing.T) {
 	}
 }
 
-// FuzzStreamVsTree cross-checks the two parsers on arbitrary inputs: they
-// must agree on accept/reject, and on success the event stream must match
-// the tree walk and the canonical bytes must match Document.String().
+// FuzzStreamVsTree cross-checks the streamer against the oracle on
+// arbitrary inputs: they must agree on accept/reject, and on success the
+// event stream must match the oracle's tree walk and the canonical bytes
+// its Document.String().
 func FuzzStreamVsTree(f *testing.F) {
 	for _, s := range streamCases {
 		f.Add(s, false)
@@ -337,7 +345,7 @@ func FuzzStreamVsTree(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input string, preserve bool) {
 		opts := xmltree.Options{PreserveWhitespace: preserve, MaxDepth: 64}
-		doc, treeErr := xmltree.ParseWithOptions(strings.NewReader(input), opts)
+		doc, treeErr := xmltree.LegacyParseWithOptions(strings.NewReader(input), opts)
 		events, canon, dt, streamErr := streamCollect(input, opts, nil)
 		if (treeErr == nil) != (streamErr == nil) {
 			t.Fatalf("tree err %v, stream err %v", treeErr, streamErr)
@@ -356,4 +364,173 @@ func FuzzStreamVsTree(f *testing.F) {
 			t.Fatalf("doctype stream %+v tree %+v", dt, doc.Doctype)
 		}
 	})
+}
+
+// checkParseLegacy requires Parse and the oracle to agree on input: the
+// same accept/reject decision and, on success, equal trees, the same
+// doctype and the same Document.String() bytes.
+func checkParseLegacy(t testing.TB, label, input string, opts xmltree.Options) {
+	t.Helper()
+	want, wantErr := xmltree.LegacyParseWithOptions(strings.NewReader(input), opts)
+	got, err := xmltree.ParseWithOptions(strings.NewReader(input), opts)
+	if (err == nil) != (wantErr == nil) {
+		t.Errorf("%s: Parse err %v, oracle err %v", label, err, wantErr)
+		return
+	}
+	if err != nil {
+		return
+	}
+	if !got.Root.Equal(want.Root) {
+		t.Errorf("%s: trees differ\nParse:  %s\noracle: %s", label, got.Root.Indent(), want.Root.Indent())
+	}
+	if !reflect.DeepEqual(got.Doctype, want.Doctype) {
+		t.Errorf("%s: doctype Parse %+v oracle %+v", label, got.Doctype, want.Doctype)
+	}
+	if g, w := got.String(), want.String(); g != w {
+		t.Errorf("%s: Document.String() differs\nParse:  %q\noracle: %q", label, g, w)
+	}
+}
+
+// FuzzParseMatchesLegacy cross-checks Parse against the oracle on
+// arbitrary inputs (checkParseLegacy).
+func FuzzParseMatchesLegacy(f *testing.F) {
+	for _, s := range streamCases {
+		f.Add(s, false)
+	}
+	for _, input := range corpusInputs(f) {
+		f.Add(input, false)
+		f.Add(input, true)
+	}
+	f.Fuzz(func(t *testing.T, input string, preserve bool) {
+		opts := xmltree.Options{PreserveWhitespace: preserve, MaxDepth: 64}
+		// The oracle has no expansion budget, so nested entities that
+		// expand past 1 MiB would stall it: such inputs only check that a
+		// budgeted Parse stops them.
+		budget := opts
+		budget.MaxBytes = int64(len(input)) + 1<<20
+		var se *xmltree.SizeError
+		if _, err := xmltree.ParseWithOptions(strings.NewReader(input), budget); errors.As(err, &se) {
+			return
+		}
+		checkParseLegacy(t, "fuzz", input, opts)
+	})
+}
+
+// TestParseConcurrent runs many goroutines through the pooled streamers
+// behind Parse at once: every tree must still match the oracle's, so no
+// parse can see another's buffers, entities or nodes.
+func TestParseConcurrent(t *testing.T) {
+	inputs := append([]string(nil), streamCases...)
+	for _, input := range corpusInputs(t) {
+		inputs = append(inputs, input)
+	}
+	type oracle struct {
+		doc *xmltree.Document
+		err error
+	}
+	want := make([][2]oracle, len(inputs))
+	for i, input := range inputs {
+		for p := range want[i] {
+			doc, err := xmltree.LegacyParseWithOptions(strings.NewReader(input), xmltree.Options{PreserveWhitespace: p == 1})
+			want[i][p] = oracle{doc, err}
+		}
+	}
+	const workers, rounds = 8, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for k := range inputs {
+					i := (k + w*7 + r) % len(inputs)
+					p := (w + r + k) % 2
+					doc, err := xmltree.ParseWithOptions(strings.NewReader(inputs[i]), xmltree.Options{PreserveWhitespace: p == 1})
+					o := want[i][p]
+					if (err == nil) != (o.err == nil) {
+						t.Errorf("input %d: Parse err %v, oracle err %v", i, err, o.err)
+						return
+					}
+					if err == nil && (!doc.Root.Equal(o.doc.Root) || doc.String() != o.doc.String()) {
+						t.Errorf("input %d preserve=%v: tree differs from the oracle's", i, p == 1)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// entityBomb is 381 bytes whose entities e1…e6 each hold ten references
+// to the one before, so the body expands to 10,000,000 bytes of text.
+func entityBomb() string {
+	var b strings.Builder
+	b.WriteString(`<!DOCTYPE a [<!ENTITY e0 "xxxxxxxxxx">`)
+	for i := 1; i <= 6; i++ {
+		fmt.Fprintf(&b, `<!ENTITY e%d "%s">`, i, strings.Repeat(fmt.Sprintf("&e%d;", i-1), 10))
+	}
+	b.WriteString(`]><a>&e6;</a>`)
+	return b.String()
+}
+
+// TestParseEntityExpansionBudget pins MaxBytes on expanded entities: the
+// replacement text of declared entities counts with the input bytes, so
+// the bomb fails with *SizeError while expanding, on both Parse and the
+// streamer, yet still parses with no budget.
+func TestParseEntityExpansionBudget(t *testing.T) {
+	bomb := entityBomb()
+	if len(bomb) != 381 {
+		t.Fatalf("bomb is %d bytes, want 381", len(bomb))
+	}
+	opts := xmltree.Options{MaxBytes: 2048}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, treeErr := xmltree.ParseWithOptions(strings.NewReader(bomb), opts)
+	s := xmltree.StreamParse(strings.NewReader(bomb), xmltree.StreamOptions{Options: opts})
+	streamErr := s.Events(func(xmltree.Event) error { return nil })
+	runtime.ReadMemStats(&ms)
+	for path, err := range map[string]error{"Parse": treeErr, "stream": streamErr} {
+		var se *xmltree.SizeError
+		if !errors.As(err, &se) || se.Limit != 2048 {
+			t.Errorf("%s: got %v, want *SizeError{Limit: 2048}", path, err)
+		}
+	}
+	if got := s.Consumed(); got > int64(len(bomb)) {
+		t.Errorf("Consumed() = %d, more than the %d input bytes", got, len(bomb))
+	}
+	if alloc := ms.TotalAlloc - before; alloc > 1<<20 {
+		t.Errorf("rejecting the bomb allocated %d bytes, want under 1 MiB", alloc)
+	}
+
+	doc, err := xmltree.ParseWithOptions(strings.NewReader(bomb), xmltree.Options{})
+	if err != nil {
+		t.Fatalf("unbudgeted parse: %v", err)
+	}
+	if n := len(doc.Root.Text()); n != 10_000_000 {
+		t.Errorf("expanded text is %d bytes, want 10,000,000", n)
+	}
+
+	// The budget is input plus declared replacement text, to the byte;
+	// Consumed still counts input only.
+	small := `<!DOCTYPE a [<!ENTITY e "hello">]><a>&e;&e;&amp;&#65;</a>`
+	for _, tc := range []struct {
+		limit int64
+		ok    bool
+	}{{int64(len(small)) + 10, true}, {int64(len(small)) + 9, false}} {
+		_, err := xmltree.ParseWithOptions(strings.NewReader(small), xmltree.Options{MaxBytes: tc.limit})
+		var se *xmltree.SizeError
+		if tc.ok != (err == nil) || (!tc.ok && !errors.As(err, &se)) {
+			t.Errorf("limit %d: got %v, want ok=%v", tc.limit, err, tc.ok)
+		}
+		st := xmltree.StreamParse(strings.NewReader(small), xmltree.StreamOptions{Options: xmltree.Options{MaxBytes: tc.limit}})
+		err = st.Events(func(xmltree.Event) error { return nil })
+		if tc.ok != (err == nil) {
+			t.Errorf("stream limit %d: got %v, want ok=%v", tc.limit, err, tc.ok)
+		}
+		if tc.ok && st.Consumed() != int64(len(small)) {
+			t.Errorf("Consumed() = %d, want the %d input bytes", st.Consumed(), len(small))
+		}
+	}
 }
