@@ -124,10 +124,9 @@ const eventLogDTDSrc = `
 <!ELEMENT msg (#PCDATA)>
 <!ELEMENT trace (#PCDATA)>`
 
-// BenchmarkParseLogDocument parses a ~60 KB log of 800 generated events,
-// shaped like the documents durable-stream ingests and replays: the tree
-// parse at the size where per-node costs dominate.
-func BenchmarkParseLogDocument(b *testing.B) {
+// logDocument is a ~60 KB log of 800 generated events (seed 42), shaped
+// like the documents durable-stream ingests and replays.
+func logDocument() string {
 	event := dtd.MustParse(eventLogDTDSrc)
 	event.Name = "event"
 	g := gen.New(gen.DefaultConfig(42))
@@ -135,7 +134,13 @@ func BenchmarkParseLogDocument(b *testing.B) {
 	for i := 0; i < 800; i++ {
 		root.Children = append(root.Children, g.Document(event).Root)
 	}
-	src := (&xmltree.Document{Root: root}).String()
+	return (&xmltree.Document{Root: root}).String()
+}
+
+// BenchmarkParseLogDocument parses logDocument: the tree parse at the size
+// where per-node costs dominate.
+func BenchmarkParseLogDocument(b *testing.B) {
+	src := logDocument()
 	b.SetBytes(int64(len(src)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,11 +17,22 @@ package record
 // labels per element (capped by the caller's max-children budget via
 // DegradeTop) and the schema-sized delta tables — never by document
 // length. The nil-record machinery replaces recordInstance's recursion
-// into already-closed plus-element children: every closing element folds
-// its instance, under a nil declaration, into its parent's childNil table,
-// and an invalid instance deep-adds childNil[l] into Labels[l].Child for
-// each undeclared label l — exactly the sum recordInstance would have
-// computed child by child.
+// into already-closed plus-element children: a closing element folds its
+// instance, under a nil declaration, into its parent's childNil table, and
+// an invalid instance deep-adds childNil[l] into Labels[l].Child for each
+// undeclared label l — exactly the sum recordInstance would have computed
+// child by child.
+//
+// Folding is a deep copy of the child's nested statistics, so folding
+// every element would cost O(elements × depth). Only the entries some lane
+// can read are built, as Start decides for each element (needsNil): those
+// of a parent whose own nil-record is needed (a nil-record reads every
+// entry), and those under a label that some lane's declaration of the
+// parent lacks (an invalid instance reads exactly those). The rule
+// deliberately ignores validity: DegradeTop can invalidate an element
+// after its children have closed, and an ANY element is valid only until
+// it degrades, so whether an entry will be read is unknown until the
+// parent closes.
 //
 // All per-close structures are pooled and map-clear-reused, and seq/group
 // map keys are interned in a per-StreamRecorder cache, so the steady-state
@@ -47,12 +58,16 @@ type recFrame struct {
 	order  []int32
 	// childNil accumulates, per child label, the nil-declaration record of
 	// every closed child bearing it (the streaming stand-in for
-	// recordInstance(la.child, c, nil)).
+	// recordInstance(la.child, c, nil)) — for the children whose needNil
+	// is set; no entry is built that no lane can read.
 	childNil map[int32]*elemStats
 	// idx is the element-child index (text children do not advance it).
 	idx      int
 	hasText  bool
 	degraded bool
+	// needNil reports whether this element's nil-record is folded into its
+	// parent's childNil at close (decided at Start).
+	needNil bool
 }
 
 // grpScratch is one repetition group computed at element close.
@@ -233,6 +248,25 @@ func (sr *StreamRecorder) Start(id int32, name string) {
 	f.id, f.name = id, name
 	f.idx, f.hasText, f.degraded = 0, false, false
 	f.order = f.order[:0]
+	f.needNil = sr.n > 1 && sr.needsNil(&sr.frames[sr.n-2], id)
+}
+
+// needsNil reports whether a child labelled id of the open element p must
+// fold its nil-record into p.childNil: when p's own nil-record is needed,
+// or when some lane declares p (nil content included) without id — the
+// entries an invalid instance of p reads. Validity is not consulted (see
+// the package comment).
+// dtdvet:noalloc
+func (sr *StreamRecorder) needsNil(p *recFrame, id int32) bool {
+	if p.needNil {
+		return true
+	}
+	for _, l := range sr.lanes {
+		if decl, ok := l.d.Elements[p.name]; ok && !l.declaredSet(decl)[id] {
+			return true
+		}
+	}
+	return false
 }
 
 // growFrames extends the frame stack by one level — the only allocation
@@ -313,7 +347,8 @@ func (sr *StreamRecorder) CommitTo(lane int, r *Recorder) DocResult {
 
 // registerChild folds the closing child f into its parent's aggregate —
 // the streaming counterpart of one iteration of recordInstance's one-pass
-// child loop — and deep-adds f's nil-record into the parent's childNil.
+// child loop — and, when f.needNil, deep-adds f's nil-record into the
+// parent's childNil.
 // dtdvet:noalloc
 func (sr *StreamRecorder) registerChild(p, f *recFrame) {
 	id := f.id
@@ -332,12 +367,14 @@ func (sr *StreamRecorder) registerChild(p, f *recFrame) {
 		p.last[id] = p.idx
 		p.order = append(p.order, id)
 	}
-	cn := p.childNil[id]
-	if cn == nil {
-		cn = sr.getStats(f.name)
-		p.childNil[id] = cn
+	if f.needNil {
+		cn := p.childNil[id]
+		if cn == nil {
+			cn = sr.getStats(f.name)
+			p.childNil[id] = cn
+		}
+		sr.applyInstance(cn, f, nil, false)
 	}
-	sr.applyInstance(cn, f, nil, false)
 	p.idx++
 }
 

@@ -175,6 +175,92 @@ func BenchmarkStreamIngest(b *testing.B) {
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "docs/s")
 }
 
+// BenchmarkStreamIngestLog streams logDocument — 800 events, three element
+// levels — through Source.AddStream (bounded mode, no journal): the shape
+// of durable-stream's documents. BenchmarkStreamIngest's flat text entries
+// hide per-element recording costs that this document exposes.
+func BenchmarkStreamIngestLog(b *testing.B) {
+	d := dtd.MustParse(eventLogDTDSrc)
+	d.Name = "log"
+	src := source.New(source.DefaultConfig())
+	src.AddDTD("log", d)
+	doc := logDocument()
+	rd := strings.NewReader(doc)
+	// Warm the pools (parser buffers, evaluator and recorder frames), so
+	// a run's allocations do not depend on how many iterations share them.
+	if _, err := src.AddStream(rd); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(doc)
+		res, err := src.AddStream(rd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Classified {
+			b.Fatal("misclassified")
+		}
+	}
+}
+
+// chainDTDSrc admits arbitrarily deep <s><t>x</t><s>…</s></s> chains.
+const chainDTDSrc = `<!ELEMENT s (t, s?)> <!ELEMENT t (#PCDATA)>`
+
+// chainDocument is a valid chain of depth s elements under chainDTDSrc,
+// each with one <t> child: 2 × depth elements.
+func chainDocument(depth int) string {
+	return strings.Repeat("<s><t>x</t>", depth) + strings.Repeat("</s>", depth)
+}
+
+// perElement is the best of five timings of AddStream(doc), in nanoseconds
+// per element; each timing repeats the ingest for at least 20ms.
+func perElement(t *testing.T, src *source.Source, doc string, elements int) float64 {
+	t.Helper()
+	rd := strings.NewReader(doc)
+	best := -1.0
+	for trial := 0; trial < 5; trial++ {
+		calls := 0
+		start := time.Now()
+		for time.Since(start) < 20*time.Millisecond {
+			rd.Reset(doc)
+			res, err := src.AddStream(rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Classified || res.Similarity != 1.0 {
+				t.Fatalf("chain misclassified: %+v", res)
+			}
+			calls++
+		}
+		if d := float64(time.Since(start)) / float64(calls*elements); best < 0 || d < best {
+			best = d
+		}
+	}
+	return best
+}
+
+// TestStreamIngestDepthLinear pins streaming ingest at linear cost in
+// depth: a valid chain costs the same per element at depth 100 and at
+// depth 1,000 (near the parser's default depth limit, so any ?stream=1
+// client can send it). Folding every element's nested nil-record into its
+// parent made it quadratic.
+func TestStreamIngestDepthLinear(t *testing.T) {
+	d := dtd.MustParse(chainDTDSrc)
+	d.Name = "s"
+	src := source.New(source.DefaultConfig())
+	src.AddDTD("s", d)
+	shallow, deep := chainDocument(100), chainDocument(1000)
+	perElement(t, src, shallow, 200) // warm up
+	a, b := perElement(t, src, shallow, 200), perElement(t, src, deep, 2000)
+	ratio := b / a
+	t.Logf("per element: %.0fns at depth 100, %.0fns at depth 1,000 (ratio %.2f)", a, b, ratio)
+	if ratio >= 3 {
+		t.Errorf("per-element cost grows %.1fx from depth 100 to 1,000, want < 3", ratio)
+	}
+}
+
 // BenchmarkBufferedIngest is the tree-path comparator for
 // BenchmarkStreamIngest — the same synthetic document, parsed to a tree
 // and ingested with Add. Not in the benchgate baseline: it exists to show
