@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dtdevolve"
 	"dtdevolve/internal/classify"
@@ -23,6 +24,7 @@ import (
 	"dtdevolve/internal/similarity"
 	"dtdevolve/internal/source"
 	"dtdevolve/internal/validate"
+	"dtdevolve/internal/wal"
 	"dtdevolve/internal/xmltree"
 	"dtdevolve/internal/xtract"
 )
@@ -675,35 +677,8 @@ func BenchmarkE12AdaptationQuality(b *testing.B) {
 // per classification, from the classifier's own counters.
 func BenchmarkClassifyManyDTDs(b *testing.B) {
 	build := func() (*classify.Classifier, []*xmltree.Document) {
-		g := gen.New(gen.DefaultConfig(11))
 		c := classify.New(0.7, similarity.DefaultConfig())
-		for i := 0; i < 900; i++ {
-			c.Set(fmt.Sprintf("solo%03d", i), g.RandomDTD(fmt.Sprintf("s%03d", i), 6))
-		}
-		// Unrelated same-root DTDs: distinct element vocabularies under one
-		// generic root tag.
-		for i := 0; i < 94; i++ {
-			d := g.RandomDTD(fmt.Sprintf("h%02d", i), 6)
-			old := d.Name
-			d.Elements["hub"] = d.Elements[old]
-			delete(d.Elements, old)
-			for j, n := range d.Order {
-				if n == old {
-					d.Order[j] = "hub"
-				}
-			}
-			d.Name = "hub"
-			c.Set(fmt.Sprintf("hub%02d", i), d)
-		}
-		// A version family: the documents' schema and five drifted
-		// successors, all plausible matches.
-		family := g.RandomDTD("hub", 6)
-		c.Set("family00", family)
-		for i, d := 1, family; i < 6; i++ {
-			d = g.Drift(d, 2)
-			c.Set(fmt.Sprintf("family%02d", i), d)
-		}
-		return c, g.MutatedDocuments(family, 32, 2, 0.5)
+		return c, manyDTDRegistry(c.Set)
 	}
 	b.Run("Pruned", func(b *testing.B) {
 		c, docs := build()
@@ -725,4 +700,97 @@ func BenchmarkClassifyManyDTDs(b *testing.B) {
 		st := c.Stats()
 		b.ReportMetric(float64(st.Scored-start.Scored)/float64(b.N), "alignments/doc")
 	})
+}
+
+// manyDTDRegistry registers the 1,000-DTD registry of
+// BenchmarkClassifyManyDTDs through set and returns its 32 documents,
+// mutated instances of the version family's first schema.
+func manyDTDRegistry(set func(name string, d *dtd.DTD)) []*xmltree.Document {
+	g := gen.New(gen.DefaultConfig(11))
+	for i := 0; i < 900; i++ {
+		set(fmt.Sprintf("solo%03d", i), g.RandomDTD(fmt.Sprintf("s%03d", i), 6))
+	}
+	// Unrelated same-root DTDs: distinct element vocabularies under one
+	// generic root tag.
+	for i := 0; i < 94; i++ {
+		d := g.RandomDTD(fmt.Sprintf("h%02d", i), 6)
+		old := d.Name
+		d.Elements["hub"] = d.Elements[old]
+		delete(d.Elements, old)
+		for j, n := range d.Order {
+			if n == old {
+				d.Order[j] = "hub"
+			}
+		}
+		d.Name = "hub"
+		set(fmt.Sprintf("hub%02d", i), d)
+	}
+	// A version family: the documents' schema and five drifted
+	// successors, all plausible matches.
+	family := g.RandomDTD("hub", 6)
+	set("family00", family)
+	for i, d := 1, family; i < 6; i++ {
+		d = g.Drift(d, 2)
+		set(fmt.Sprintf("family%02d", i), d)
+	}
+	return g.MutatedDocuments(family, 32, 2, 0.5)
+}
+
+// BenchmarkRecoverManyDTDs measures the recovery path that WAL recovery
+// and followers share, on the BenchmarkClassifyManyDTDs registry: outside
+// the timer it checkpoints the registry and journals 256 of its family
+// documents (with whatever evolutions they fire); each iteration restores
+// the checkpoint and applies the journal through ApplyWALRecord. records/s
+// is the rate of the apply alone; alignments/record is the DP alignments
+// it ran per record, from the source's own counters: 0 when every record
+// carries its classification decision.
+func BenchmarkRecoverManyDTDs(b *testing.B) {
+	cfg := source.DefaultConfig()
+	live := source.New(cfg)
+	docs := manyDTDRegistry(live.AddDTD)
+	ckpt, err := live.Snapshot()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	l, err := dtdevolve.OpenWAL(dir, dtdevolve.WALOptions{Sync: dtdevolve.SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	live.AttachWAL(l)
+	for i := 0; i < 256; i++ {
+		live.Add(docs[i%len(docs)])
+	}
+	if err := live.CloseWAL(); err != nil {
+		b.Fatal(err)
+	}
+	var records [][]byte
+	if _, err := wal.Replay(dir, func(p []byte) error {
+		records = append(records, append([]byte(nil), p...))
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+
+	var apply time.Duration
+	var scored int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := source.Restore(cfg, ckpt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s.SetReplica(true)
+		start := time.Now()
+		for _, p := range records {
+			if err := s.ApplyWALRecord(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		apply += time.Since(start)
+		scored += s.Metrics().ClassifyScored
+	}
+	n := float64(b.N * len(records))
+	b.ReportMetric(n/apply.Seconds(), "records/s")
+	b.ReportMetric(float64(scored)/n, "alignments/record")
 }

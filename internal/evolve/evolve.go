@@ -115,6 +115,11 @@ type Report struct {
 // Evolve produces a new DTD from the recorder's DTD and statistics. The
 // input DTD is not modified. The recorder is left untouched; callers
 // typically Reset (or SetDTD) it afterwards.
+//
+// WAL replay and followers re-run Evolve for every journaled evolution
+// instead of journaling its result, so its output must be a function of
+// its inputs alone.
+// dtdvet:replayroot
 func Evolve(rec *record.Recorder, cfg Config) (*dtd.DTD, Report) {
 	if cfg.MaxExtractDepth <= 0 {
 		cfg.MaxExtractDepth = 16

@@ -273,12 +273,12 @@ func (f *Follower) bootstrapShard(ctx context.Context, i int) (*shardTail, error
 		}
 		var minSeq uint64
 		if len(ckpt) > 0 {
-			src, err := source.Restore(f.cfg, ckpt)
+			src, seq, err := source.RestoreAt(f.cfg, ckpt)
 			if err != nil {
 				return nil, err
 			}
 			st.src = src
-			minSeq = source.SnapshotWALPosition(ckpt)
+			minSeq = seq
 		} else {
 			st.src = source.New(f.cfg)
 		}

@@ -15,6 +15,14 @@
 // the moment they fire, so replay — and a follower replica tailing the log
 // mid-stream (internal/replicate) — applies the recorded decision instead
 // of re-deriving it.
+//
+// Classification decisions travel the same way: a document record names
+// the DTD its document was classified in (or the repository), and an
+// evolution or reclassification record names the repository documents the
+// reclassification recovered. Replay applies them and scores nothing, so
+// recovered and follower state does not depend on the reading binary's
+// similarity measure or σ. Records written before decisions were journaled
+// carry none and replay by re-scoring.
 package source
 
 import (
@@ -27,6 +35,7 @@ import (
 	"sync"
 	"time"
 
+	"dtdevolve/internal/classify"
 	"dtdevolve/internal/wal"
 	"dtdevolve/internal/xmltree"
 )
@@ -53,6 +62,41 @@ type walOp struct {
 	// streamed document that degraded under it. Replay re-streams with the
 	// same budget so the degraded statistics land bit-identically.
 	MaxChildren int `json:"max_children,omitempty"`
+	// Class and Repository are the classification decision of "doc" and
+	// "sdoc": the DTD the document was classified in, or that it went to
+	// the repository. A record with neither was journaled before decisions
+	// were; replay re-scores it. (Two plain fields rather than one pointer:
+	// a pointer would cost every journaled document an allocation.)
+	Class      string `json:"class,omitempty"`
+	Repository bool   `json:"repository,omitempty"`
+	// Recovered is the reclassification outcome of "evolve", "autoevolve",
+	// "reclassify" and "autoreclassify": the repository documents that
+	// reached σ, by ascending position in the repository as it stood before
+	// the reclassification. Empty when nothing was recovered; nil marks a
+	// record journaled before outcomes were, which replay re-scores.
+	Recovered *[]recovery `json:"recovered,omitempty"`
+}
+
+// recovery is one repository document a reclassification recovered: its
+// position in the repository and the DTD it was classified in.
+type recovery struct {
+	Pos int    `json:"pos"`
+	DTD string `json:"dtd"`
+}
+
+// decided returns op carrying the classification decision cls.
+func decided(op walOp, cls classify.Result) walOp {
+	if cls.Classified {
+		op.Class = cls.DTDName
+	} else {
+		op.Repository = true
+	}
+	return op
+}
+
+// docOp is the journal record of a document committed under cls.
+func docOp(doc *xmltree.Document, cls classify.Result) walOp {
+	return decided(walOp{Op: "doc", Text: doc.String()}, cls)
 }
 
 // encodeOp serializes one journal record. HTML escaping is off, so the
@@ -199,6 +243,8 @@ func (s *Source) Degraded() error {
 }
 
 // applyOp replays one journaled operation through the normal code paths.
+// Decided records apply their journaled outcome and score nothing; legacy
+// records (no decision, Recovered nil) re-score, as they did when written.
 func (s *Source) applyOp(op walOp) error {
 	switch op.Op {
 	case "doc":
@@ -206,7 +252,13 @@ func (s *Source) applyOp(op walOp) error {
 		if err != nil {
 			return fmt.Errorf("source: WAL document: %w", err)
 		}
-		s.Add(doc)
+		if op.Class == "" && !op.Repository {
+			s.Add(doc)
+			return nil
+		}
+		if err := s.applyDocOp(op, doc); err != nil {
+			return fmt.Errorf("source: WAL document: %w", err)
+		}
 	case "sdoc":
 		if err := s.applyStreamOp(op); err != nil {
 			return err
@@ -225,25 +277,53 @@ func (s *Source) applyOp(op walOp) error {
 		if err := s.AddTriggerRule(op.Text); err != nil {
 			return fmt.Errorf("source: WAL trigger rule: %w", err)
 		}
-	case "evolve":
-		if _, _, err := s.EvolveNow(op.Name); err != nil {
-			return fmt.Errorf("source: WAL evolve: %w", err)
-		}
-	case "reclassify":
-		s.ReclassifyRepository()
-	case "autoevolve":
-		// A check-phase or trigger-fired evolution the primary recorded;
-		// apply the decision rather than re-deriving it (the check phase is
+	case "evolve", "autoevolve":
+		// "autoevolve" is a check-phase or trigger-fired evolution the
+		// primary recorded; it applies like a forced one (the check phase is
 		// suppressed while replaying).
-		if _, _, err := s.EvolveNow(op.Name); err != nil {
-			return fmt.Errorf("source: WAL auto-evolve: %w", err)
+		if _, _, err := s.evolveOp(op); err != nil {
+			return fmt.Errorf("source: WAL %s: %w", op.Op, err)
 		}
-	case "autoreclassify":
-		s.ReclassifyRepository()
+	case "reclassify", "autoreclassify":
+		if _, err := s.reclassifyOp(op); err != nil {
+			return fmt.Errorf("source: WAL %s: %w", op.Op, err)
+		}
 	default:
 		return fmt.Errorf("source: unknown WAL operation %q", op.Op)
 	}
 	return nil
+}
+
+// applyDocOp commits a replayed document under its journaled decision,
+// without scoring it.
+func (s *Source) applyDocOp(op walOp, doc *xmltree.Document) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cls, err := s.decisionLocked(op)
+	if err != nil {
+		return err
+	}
+	s.journalLocked(op)
+	res := s.applyCommitLocked(doc, cls)
+	s.fireTriggers(&res)
+	return nil
+}
+
+// decisionLocked turns a record's journaled decision back into the
+// classification result it records. A DTD the source does not hold, or
+// two decisions at once, means the record belongs to another log.
+// dtdvet:requires mu:r
+func (s *Source) decisionLocked(op walOp) (classify.Result, error) {
+	switch {
+	case op.Repository && op.Class != "":
+		return classify.Result{}, fmt.Errorf("both classified in DTD %q and sent to the repository", op.Class)
+	case op.Repository:
+		return classify.Result{}, nil
+	}
+	if _, ok := s.entries[op.Class]; !ok {
+		return classify.Result{}, fmt.Errorf("classified in unregistered DTD %q", op.Class)
+	}
+	return classify.Result{DTDName: op.Class, Classified: true}, nil
 }
 
 // RecoveryInfo describes what Recover rebuilt the source from.
@@ -264,16 +344,6 @@ type RecoveryInfo struct {
 	Quarantined []string
 }
 
-// walPosition extracts the WAL segment position a snapshot covers (0 for
-// pre-WAL snapshots: replay everything).
-func walPosition(snapshotData []byte) uint64 {
-	var pos struct {
-		WALSeq uint64 `json:"wal_seq"`
-	}
-	_ = json.Unmarshal(snapshotData, &pos)
-	return pos.WALSeq
-}
-
 // Recover rebuilds a Source from an optional snapshot (nil: start empty)
 // plus the write-ahead log at walDir, then opens the log for appending and
 // attaches it, so the recovered source is immediately durable again.
@@ -286,12 +356,12 @@ func Recover(cfg Config, snapshotData []byte, walDir string, opts wal.Options) (
 	var s *Source
 	var minSeq uint64
 	if len(snapshotData) > 0 {
-		restored, err := Restore(cfg, snapshotData)
+		restored, seq, err := RestoreAt(cfg, snapshotData)
 		if err != nil {
 			return nil, info, err
 		}
 		s = restored
-		minSeq = walPosition(snapshotData)
+		minSeq = seq
 		info.SnapshotRestored = true
 	} else {
 		s = New(cfg)

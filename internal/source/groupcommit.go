@@ -61,7 +61,7 @@ type GroupCommitOptions struct {
 // EnableGroupCommit routes every subsequent Add/AddBatch commit through
 // the group-commit coordinator. Enable it once, before serving traffic;
 // it cannot be turned off. Recovery replay is unaffected: replayed
-// operations re-enter Add one at a time and journal nothing.
+// operations apply one at a time and journal nothing.
 func (s *Source) EnableGroupCommit(opts GroupCommitOptions) {
 	if opts.MaxGroup <= 0 {
 		opts.MaxGroup = DefaultMaxGroup
@@ -75,9 +75,10 @@ func (s *Source) GroupCommitEnabled() bool { return s.committer.Load() != nil }
 
 // commitReq is one document waiting to be committed: its read-locked
 // classification, the generation it was scored at, and the pre-serialized
-// journal payload (nil when no WAL was attached at scoring time). The
-// leader fills res; done closes once the request is durable and applied;
-// promote closes to hand the request's waiter leadership of the queue.
+// journal payload carrying that classification's decision (nil when no WAL
+// was attached at scoring time). The leader fills res; done closes once
+// the request is durable and applied; promote closes to hand the request's
+// waiter leadership of the queue.
 type commitReq struct {
 	doc     *xmltree.Document
 	cls     classify.Result
@@ -96,7 +97,7 @@ func newCommitReq(doc *xmltree.Document, cls classify.Result, gen uint64, hasWAL
 		// write lock. Marshalling a walOp (strings only) cannot fail; a
 		// nil payload falls back to in-lock journaling, which reports the
 		// failure through the degraded path.
-		req.payload, _ = encodeOp(walOp{Op: "doc", Text: doc.String()})
+		req.payload, _ = encodeOp(docOp(doc, cls))
 	}
 	return req
 }
@@ -231,10 +232,11 @@ func (gc *groupCommitter) lead(last *commitReq) {
 }
 
 // commitGroupLocked journals and applies one drained group inside the
-// leader's write-lock section: each document's payload is collected, its
-// state changes apply in queue order (re-scored first when the DTD set
+// leader's write-lock section: each document is re-scored when the DTD set
 // changed after its read-locked scoring, exactly as the serial path
-// re-scores), and any records the apply itself journals — auto-evolutions,
+// re-scores, and its payload re-encoded when that changed the decision;
+// the payload is collected and its state changes apply in queue order,
+// and any records the apply itself journals — auto-evolutions,
 // trigger firings — are diverted into the same collection via the journal
 // sink, landing between the doc that caused them and the next doc. One
 // batched WAL write then covers the whole interleaved sequence, leaving
@@ -248,17 +250,22 @@ func (gc *groupCommitter) commitGroupLocked(group []*commitReq) (flush *wal.Log)
 	payloads := make([][]byte, 0, len(group))
 	s.journalSink = &payloads
 	for _, r := range group {
+		if s.gen != r.gen {
+			cls := s.classifier.Classify(r.doc)
+			if decided(walOp{}, cls) != decided(walOp{}, r.cls) {
+				r.payload = nil // journaled the stale decision: re-encode
+			}
+			r.cls = cls
+		}
 		p := r.payload
 		if p == nil && s.wal != nil && !s.replaying && s.walErr == nil {
-			// The WAL was attached after this document was scored; encode
-			// under the lock like the serial path would have.
-			p = s.encodeOpLocked(walOp{Op: "doc", Text: r.doc.String()})
+			// The WAL was attached after this document was scored, or the
+			// re-score changed its decision; encode under the lock like the
+			// serial path would have.
+			p = s.encodeOpLocked(docOp(r.doc, r.cls))
 		}
 		if p != nil && s.wal != nil && !s.replaying && s.walErr == nil {
 			payloads = append(payloads, p)
-		}
-		if s.gen != r.gen {
-			r.cls = s.classifier.Classify(r.doc)
 		}
 		r.res = s.applyCommitLocked(r.doc, r.cls)
 		s.fireTriggers(&r.res)

@@ -61,14 +61,6 @@ func (s *Source) SnapshotAt(walSeq uint64) ([]byte, error) {
 	return s.snapshotLocked(walSeq)
 }
 
-// SnapshotWALPosition extracts the WAL segment position a snapshot covers:
-// the first segment whose records are NOT folded into it (0 for pre-WAL
-// snapshots — replay everything). A follower bootstrapping from a shipped
-// checkpoint resumes its tail here.
-func SnapshotWALPosition(snapshotData []byte) uint64 {
-	return walPosition(snapshotData)
-}
-
 // SetWALRetention installs (or, with nil, removes) a retention floor
 // consulted by Checkpoint before truncating covered WAL history: segments
 // at or above the returned sequence number are kept even when the snapshot

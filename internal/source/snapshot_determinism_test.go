@@ -68,7 +68,6 @@ func TestRestoreV1SnapshotDeterministic(t *testing.T) {
 	}
 	delete(m, "version")
 	delete(m, "symbols")
-	delete(m, "signatures")
 	v1, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@ import (
 )
 
 // TestSnapshotV2Shape checks the checkpoint codec carries the symbol table
-// and the per-DTD classification signatures (DESIGN.md §12): recovery must
-// not pay the signature rebuild that scales with registry size.
+// and no classification signatures: Restore rebuilds those from the DTDs
+// (DESIGN.md §12).
 func TestSnapshotV2Shape(t *testing.T) {
 	s := New(testConfig())
 	s.AddDTD("article", articleDTD())
@@ -30,15 +30,54 @@ func TestSnapshotV2Shape(t *testing.T) {
 	if len(snap.Symbols) == 0 {
 		t.Error("no symbols persisted")
 	}
-	if _, ok := snap.Signatures["article"]; !ok {
-		t.Errorf("signatures = %v, want an entry for article", snap.Signatures)
+	if snap.Signatures != nil {
+		t.Errorf("signatures = %v, want none persisted", snap.Signatures)
+	}
+}
+
+// TestRestoreIgnoresPersistedSignatures restores a checkpoint in the shape
+// older builds wrote, with a "signatures" field beside the symbols: the
+// field is ignored, every signature is rebuilt, and the restored source
+// serializes and classifies exactly like the one that wrote it.
+func TestRestoreIgnoresPersistedSignatures(t *testing.T) {
+	s := New(testConfig())
+	runScript(t, s, durabilityScript)
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["signatures"] = map[string]any{"article": map[string]any{
+		"root": "article", "labels": []int{1, 2, 3}, "declared": []int{1, 2, 3},
+		"children": map[string][]int{"1": {2, 3}, "2": {}, "3": {}},
+		"reach":    1, "depth_cap": 64,
+	}}
+	old, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(testConfig(), old)
+	if err != nil {
+		t.Fatalf("snapshot with signatures rejected: %v", err)
+	}
+	if got := mustSnapshot(t, restored); got != string(data) {
+		t.Errorf("restored snapshot diverges\n got: %s\nwant: %s", got, data)
+	}
+	probe := `<article><title>t</title><author>a</author><body>b</body></article>`
+	got, want := restored.Add(parseDoc(t, probe)), s.Add(parseDoc(t, probe))
+	if got.Classified != want.Classified || got.DTDName != want.DTDName || got.Similarity != want.Similarity {
+		t.Errorf("probe: restored %+v, original %+v", got, want)
 	}
 }
 
 // TestRestoreRoundTripKeepsSymbolsAndSignatures checks restore → snapshot
 // is a fixpoint: the restored source must serialize byte-equal state
-// (symbols in the same ID order, signatures identical), which is what the
-// durability suite's DeepEqual comparisons rely on.
+// (symbols in the same ID order; the signatures, rebuilt at restore, are
+// not part of it), which is what the durability suite's DeepEqual
+// comparisons rely on.
 func TestRestoreRoundTripKeepsSymbolsAndSignatures(t *testing.T) {
 	s := New(testConfig())
 	runScript(t, s, durabilityScript)
@@ -60,9 +99,9 @@ func TestRestoreRoundTripKeepsSymbolsAndSignatures(t *testing.T) {
 }
 
 // TestRestoreV1SnapshotFallsBackToRebuild feeds Restore a pre-v2 snapshot
-// (no version, no symbols, no signatures — exactly what an old checkpoint
-// file holds) and checks the classifier is rebuilt from scratch and
-// classifies identically.
+// (no version, no symbols — exactly what an old checkpoint file holds) and
+// checks the classifier is rebuilt from the DTDs and classifies
+// identically.
 func TestRestoreV1SnapshotFallsBackToRebuild(t *testing.T) {
 	s := New(testConfig())
 	runScript(t, s, durabilityScript)
@@ -76,7 +115,6 @@ func TestRestoreV1SnapshotFallsBackToRebuild(t *testing.T) {
 	}
 	delete(m, "version")
 	delete(m, "symbols")
-	delete(m, "signatures")
 	v1, err := json.Marshal(m)
 	if err != nil {
 		t.Fatal(err)

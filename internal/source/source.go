@@ -394,12 +394,13 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 // Callers hold the write lock.
 // dtdvet:requires mu
 func (s *Source) commitLocked(doc *xmltree.Document, cls classify.Result) AddResult {
-	// Write-ahead: the document is journaled before its effects. The check
-	// phase's own decisions (auto-evolutions, trigger firings) are journaled
-	// as logical commands of their own the moment they fire, so replay — and
-	// a follower replica tailing the log — applies the recorded decision
-	// instead of re-deriving it and can never diverge from the primary.
-	s.journalLocked(walOp{Op: "doc", Text: doc.String()})
+	// Write-ahead: the document is journaled before its effects, with its
+	// classification decision. The check phase's own decisions
+	// (auto-evolutions, trigger firings) are journaled as logical commands
+	// of their own the moment they fire, so replay — and a follower replica
+	// tailing the log — applies the recorded decisions instead of
+	// re-deriving them and can never diverge from the primary.
+	s.journalLocked(docOp(doc, cls))
 	return s.applyCommitLocked(doc, cls)
 }
 
@@ -417,8 +418,7 @@ func (s *Source) applyCommitLocked(doc *xmltree.Document, cls classify.Result) A
 	if res.Classified && s.cfg.AutoEvolve && !s.replaying {
 		e := s.entries[res.DTDName]
 		if e.docs >= s.cfg.MinDocs && e.rec.ShouldEvolve(s.cfg.Tau) {
-			s.journalLocked(walOp{Op: "autoevolve", Name: res.DTDName})
-			report, reclassified := s.evolveLocked(res.DTDName)
+			report, reclassified, _ := s.evolveLocked(walOp{Op: "autoevolve", Name: res.DTDName})
 			res.Evolved = true
 			res.Report = &report
 			res.Reclassified = reclassified
@@ -554,14 +554,13 @@ func (s *Source) fireTriggers(res *AddResult) {
 			for _, action := range rule.Actions {
 				switch action {
 				case trigger.Evolve:
-					s.journalLocked(walOp{Op: "autoevolve", Name: name})
-					report, reclassified := s.evolveLocked(name)
+					report, reclassified, _ := s.evolveLocked(walOp{Op: "autoevolve", Name: name})
 					res.Evolved = true
 					res.Report = &report
 					res.Reclassified += reclassified
 				case trigger.Reclassify:
-					s.journalLocked(walOp{Op: "autoreclassify"})
-					res.Reclassified += s.reclassifyLocked()
+					reclassified, _ := s.reclassifyLocked(walOp{Op: "autoreclassify"})
+					res.Reclassified += reclassified
 				}
 			}
 			break // one firing per rule per Add
@@ -694,61 +693,136 @@ func (s *Source) NeedsEvolution() []string {
 // EvolveNow forces the evolution phase for the named DTD, returning the
 // report and the number of repository documents recovered.
 func (s *Source) EvolveNow(name string) (evolve.Report, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[name]; !ok {
-		return evolve.Report{}, 0, fmt.Errorf("source: no DTD named %q", name)
-	}
-	s.journalLocked(walOp{Op: "evolve", Name: name})
-	report, reclassified := s.evolveLocked(name)
-	return report, reclassified, nil
+	return s.evolveOp(walOp{Op: "evolve", Name: name})
 }
 
-// evolveLocked runs the evolution phase for one DTD and re-classifies the
-// repository against the updated DTD set. Callers hold s.mu.
+// evolveOp runs one evolution command — forced, or replayed from the
+// journal — under the write lock.
+func (s *Source) evolveOp(op walOp) (evolve.Report, int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.entries[op.Name]; !ok {
+		return evolve.Report{}, 0, fmt.Errorf("source: no DTD named %q", op.Name)
+	}
+	return s.evolveLocked(op)
+}
+
+// evolveLocked runs the evolution phase for the DTD op names and
+// re-classifies the repository against the updated DTD set. op is the
+// command that fired it; it is journaled with the reclassification's
+// outcome before any guarded state changes, so the order is: evolve.Evolve
+// (pure over the recorder), installing the evolved DTD in the classifier
+// (which synchronizes itself), re-scoring the repository, journaling, and
+// only then applying the evolution and the recovered documents. A replayed
+// op carries its outcome and skips the re-scoring; an error means that
+// outcome does not fit this repository, and nothing was changed. Callers
+// hold s.mu.
 // dtdvet:requires mu
-func (s *Source) evolveLocked(name string) (evolve.Report, int) {
-	e := s.entries[name]
+func (s *Source) evolveLocked(op walOp) (evolve.Report, int, error) {
+	if err := s.checkRecoveredLocked(op.Recovered); err != nil {
+		return evolve.Report{}, 0, err
+	}
+	e := s.entries[op.Name]
 	evolved, report := evolve.Evolve(e.rec, s.cfg.Evolve)
+	s.classifier.Set(op.Name, evolved)
+	if op.Recovered == nil {
+		op.Recovered = s.rescoreLocked()
+	}
+	s.journalLocked(op)
 	e.d = evolved
 	e.rec.SetDTD(evolved)
 	e.docs = 0
 	e.evolutions++
-	s.classifier.Set(name, evolved)
 	s.gen++
 	s.metrics.ObserveEvolution()
-	return report, s.reclassifyLocked()
+	return report, s.recoverLocked(*op.Recovered), nil
 }
 
 // ReclassifyRepository re-classifies every repository document against the
 // current DTD set, recording those that now reach σ. It returns how many
 // documents were recovered.
 func (s *Source) ReclassifyRepository() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.journalLocked(walOp{Op: "reclassify"})
-	return s.reclassifyLocked()
+	n, _ := s.reclassifyOp(walOp{Op: "reclassify"})
+	return n
 }
 
+// reclassifyOp runs one reclassification command — forced, or replayed
+// from the journal — under the write lock.
+func (s *Source) reclassifyOp(op walOp) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.reclassifyLocked(op)
+}
+
+// reclassifyLocked re-scores the repository unless op already carries the
+// outcome, journals op with it, and applies it.
 // dtdvet:requires mu
-func (s *Source) reclassifyLocked() int {
+func (s *Source) reclassifyLocked(op walOp) (int, error) {
+	if err := s.checkRecoveredLocked(op.Recovered); err != nil {
+		return 0, err
+	}
+	if op.Recovered == nil {
+		op.Recovered = s.rescoreLocked()
+	}
+	s.journalLocked(op)
+	return s.recoverLocked(*op.Recovered), nil
+}
+
+// rescoreLocked classifies every repository document against the current
+// DTD set and returns those that reach σ, in repository order. The result
+// is never nil: recovering nothing is an outcome too.
+// dtdvet:requires mu:r
+func (s *Source) rescoreLocked() *[]recovery {
+	out := []recovery{}
+	for i, doc := range s.repository {
+		if cls := s.classifier.Classify(doc); cls.Classified {
+			out = append(out, recovery{Pos: i, DTD: cls.DTDName})
+		}
+	}
+	return &out
+}
+
+// checkRecoveredLocked verifies that a journaled reclassification outcome
+// fits this repository: positions ascending and inside it, each naming a
+// registered DTD. nil (nothing journaled) passes.
+// dtdvet:requires mu:r
+func (s *Source) checkRecoveredLocked(recovered *[]recovery) error {
+	if recovered == nil {
+		return nil
+	}
+	prev := -1
+	for _, r := range *recovered {
+		if r.Pos <= prev || r.Pos >= len(s.repository) {
+			return fmt.Errorf("recovered repository position %d out of order or past the repository's %d documents", r.Pos, len(s.repository))
+		}
+		if _, ok := s.entries[r.DTD]; !ok {
+			return fmt.Errorf("recovered document classified in unregistered DTD %q", r.DTD)
+		}
+		prev = r.Pos
+	}
+	return nil
+}
+
+// recoverLocked records the recovered repository documents in their DTDs,
+// in ascending position, and keeps the rest in the repository.
+// dtdvet:requires mu
+func (s *Source) recoverLocked(recovered []recovery) int {
 	var remaining []*xmltree.Document
-	recovered := 0
-	for _, doc := range s.repository {
-		cls := s.classifier.Classify(doc)
-		if cls.Classified {
-			e := s.entries[cls.DTDName]
+	next := 0
+	for i, doc := range s.repository {
+		if next < len(recovered) && recovered[next].Pos == i {
+			e := s.entries[recovered[next].DTD]
 			intern.InternDocument(s.tab, doc.Root)
 			e.rec.Record(doc)
 			e.docs++
-			recovered++
+			next++
 			continue
 		}
 		remaining = append(remaining, doc)
 	}
 	s.repository = remaining
-	s.metrics.ObserveReclassified(recovered)
-	return recovered
+	s.metrics.ObserveReclassified(len(recovered))
+	return len(recovered)
 }
 
 // RepositorySize returns the number of unclassified documents currently
@@ -794,10 +868,9 @@ func (s *Source) Status() []DTDStatus {
 }
 
 // snapshotVersion is the current checkpoint codec version. Version 2 added
-// the interned symbol list and the per-DTD classification signatures;
-// Restore falls back to a full signature rebuild for older snapshots (or
-// any snapshot whose signatures fail validation), so old checkpoints keep
-// restoring.
+// the interned symbol list. Snapshots written while classification
+// signatures were persisted also carry a "signatures" field; decoding
+// ignores it, and Restore rebuilds every signature from the DTDs.
 const snapshotVersion = 2
 
 // snapshot is the JSON checkpoint format.
@@ -815,11 +888,9 @@ type snapshot struct {
 	Triggers []string `json:"triggers,omitempty"`
 	// Symbols is the interned label table in ID order (ID 1 first): Restore
 	// re-interns it before anything else, so every interned ID in the
-	// snapshot — in particular the signature label sets — stays valid.
+	// snapshot — in particular the recorders' — stays valid and later
+	// symbols get the IDs the live source gave them.
 	Symbols []string `json:"symbols,omitempty"`
-	// Signatures carries each DTD's classification signature, sparing
-	// recovery the per-DTD signature rebuild (DESIGN.md §12).
-	Signatures map[string]*classify.SigSnapshot `json:"signatures,omitempty"`
 	// WALSeq is the first WAL segment NOT covered by this snapshot:
 	// recovery replays only segments >= WALSeq on top (see Checkpoint;
 	// 0 for snapshots taken without a WAL).
@@ -854,10 +925,10 @@ func (s *Source) snapshotLocked(walSeq uint64) ([]byte, error) {
 		WALSeq:     walSeq,
 	}
 	// Iterate in sorted-name order, not map order: the per-entry calls
-	// (record snapshots, signature snapshots) must run in the same order on
-	// every node so any state they touch — and any future non-map field
-	// derived from them — keeps checkpoint bytes identical across
-	// primary/replica pairs and recover-checkpoint cycles.
+	// (record snapshots) must run in the same order on every node so any
+	// state they touch — and any future non-map field derived from them —
+	// keeps checkpoint bytes identical across primary/replica pairs and
+	// recover-checkpoint cycles.
 	for _, name := range s.names() {
 		e := s.entries[name]
 		snap.DTDs[name] = e.d.String()
@@ -865,12 +936,6 @@ func (s *Source) snapshotLocked(walSeq uint64) ([]byte, error) {
 		snap.Docs[name] = e.docs
 		snap.Evolutions[name] = e.evolutions
 		snap.Recorders[name] = e.rec.Snapshot()
-		if sig := s.classifier.SigSnapshot(name); sig != nil {
-			if snap.Signatures == nil {
-				snap.Signatures = make(map[string]*classify.SigSnapshot)
-			}
-			snap.Signatures[name] = sig
-		}
 	}
 	for _, doc := range s.repository {
 		snap.Repository = append(snap.Repository, doc.String())
@@ -882,17 +947,26 @@ func (s *Source) snapshotLocked(walSeq uint64) ([]byte, error) {
 }
 
 // Restore rebuilds a Source from a Snapshot produced with the same Config.
-// dtdvet:allow locks -- builds a fresh Source not yet shared with any goroutine
 func Restore(cfg Config, data []byte) (*Source, error) {
+	s, _, err := RestoreAt(cfg, data)
+	return s, err
+}
+
+// RestoreAt is Restore that also returns the WAL position the snapshot
+// covers: the first segment whose records are not folded into it (0 for
+// snapshots taken without a WAL — replay everything). Recovery, and a
+// follower bootstrapping from a shipped checkpoint, resume replay there.
+// dtdvet:allow locks -- builds a fresh Source not yet shared with any goroutine
+func RestoreAt(cfg Config, data []byte) (*Source, uint64, error) {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("source: decoding snapshot: %w", err)
+		return nil, 0, fmt.Errorf("source: decoding snapshot: %w", err)
 	}
 	s := New(cfg)
 	if snap.Version >= 2 && len(snap.Symbols) > 0 {
 		// Re-intern the saved symbols first, in their original ID order
 		// (InternAll assigns dense IDs in slice order on a fresh table), so
-		// the signatures' interned label IDs resolve to the same names.
+		// the recorders' interned IDs resolve to the same names.
 		s.tab.InternAll(snap.Symbols)
 	}
 	// Restore DTDs in sorted-name order, not map order: building a
@@ -910,7 +984,7 @@ func Restore(cfg Config, data []byte) (*Source, error) {
 		src := snap.DTDs[name]
 		d, err := dtd.ParseString(src)
 		if err != nil {
-			return nil, fmt.Errorf("source: snapshot DTD %q: %w", name, err)
+			return nil, 0, fmt.Errorf("source: snapshot DTD %q: %w", name, err)
 		}
 		d.Name = snap.Roots[name]
 		e := &entry{d: d, rec: record.NewWithTable(d, s.tab), docs: snap.Docs[name], evolutions: snap.Evolutions[name]}
@@ -918,28 +992,24 @@ func Restore(cfg Config, data []byte) (*Source, error) {
 			e.rec.Restore(rs)
 		}
 		s.entries[name] = e
-		// Prefer the persisted signature; any mismatch (old codec, changed
-		// config, stale table) falls back to the full rebuild.
-		if sig := snap.Signatures[name]; sig == nil || !s.classifier.SetFromSnapshot(name, d, sig) {
-			s.classifier.Set(name, d)
-		}
+		s.classifier.Set(name, d)
 	}
 	for _, src := range snap.Repository {
 		doc, err := xmltree.ParseString(src)
 		if err != nil {
-			return nil, fmt.Errorf("source: snapshot repository document: %w", err)
+			return nil, 0, fmt.Errorf("source: snapshot repository document: %w", err)
 		}
 		s.repository = append(s.repository, doc)
 	}
 	for _, src := range snap.Triggers {
 		rule, err := trigger.Parse(src)
 		if err != nil {
-			return nil, fmt.Errorf("source: snapshot trigger rule: %w", err)
+			return nil, 0, fmt.Errorf("source: snapshot trigger rule: %w", err)
 		}
 		s.triggers = append(s.triggers, rule)
 	}
 	s.added = snap.Added
-	return s, nil
+	return s, snap.WALSeq, nil
 }
 
 // dtdParse parses journaled DTD text and restores its declared root.

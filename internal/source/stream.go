@@ -12,7 +12,9 @@
 // to Record(doc), pinned by internal/stream's equivalence tests). A
 // document that hit the MaxChildren budget journals as "sdoc" carrying the
 // budget, and replays through the streaming path so its degraded
-// statistics are reproduced exactly.
+// statistics are reproduced exactly. Both records carry the fold's
+// decision, the same one the tree path journals, so replay records the
+// document against the winner without classifying it.
 //
 // When neither a WAL nor a docstore is attached, no spool is kept and the
 // pass runs in truly bounded memory; the price is that a document the fold
@@ -179,13 +181,13 @@ func (s *Source) commitStreamLocked(ing *stream.Ingestor, fold classify.Result, 
 		repoDoc = doc
 	}
 
-	op := walOp{Op: "doc"}
+	op := decided(walOp{Op: "doc"}, fold)
 	if degraded {
 		// A degraded document's statistics depend on the child budget;
 		// replaying it through the tree path would record the full-fidelity
 		// statistics and diverge. Journal the budget with it and replay
 		// through the streaming path.
-		op = walOp{Op: "sdoc", MaxChildren: maxChildren}
+		op.Op, op.MaxChildren = "sdoc", maxChildren
 	}
 	if spool != nil {
 		op.Text = spool.String()
@@ -212,8 +214,7 @@ func (s *Source) commitStreamLocked(ing *stream.Ingestor, fold classify.Result, 
 	}
 	if s.cfg.AutoEvolve && !s.replaying {
 		if e.docs >= s.cfg.MinDocs && e.rec.ShouldEvolve(s.cfg.Tau) {
-			s.journalLocked(walOp{Op: "autoevolve", Name: fold.DTDName})
-			report, reclassified := s.evolveLocked(fold.DTDName)
+			report, reclassified, _ := s.evolveLocked(walOp{Op: "autoevolve", Name: fold.DTDName})
 			res.Evolved = true
 			res.Report = &report
 			res.Reclassified = reclassified
@@ -239,11 +240,59 @@ func (s *Source) streamFallbackLocked(spool *bytes.Buffer, sentinel error) (AddR
 
 // applyStreamOp replays one journaled "sdoc" record: the document is
 // re-streamed under the budget that shaped it, so the degraded statistics
-// land bit-identically.
+// land bit-identically. A decided record streams through its DTD's lane
+// only, whose validity bits the recorder needs, or through none for the
+// repository, and classifies nothing: a lane's statistics do not depend on
+// the other lanes. A legacy record re-scores every lane, as it did when
+// written.
 // dtdvet:replayroot
 func (s *Source) applyStreamOp(op walOp) error {
-	if _, err := s.addStream(strings.NewReader(op.Text), op.MaxChildren, false); err != nil {
+	var err error
+	if op.Class == "" && !op.Repository {
+		_, err = s.addStream(strings.NewReader(op.Text), op.MaxChildren, false)
+	} else {
+		err = s.applyDecidedStreamOp(op)
+	}
+	if err != nil {
 		return fmt.Errorf("source: WAL streamed document: %w", err)
 	}
+	return nil
+}
+
+// applyDecidedStreamOp replays a decided "sdoc" record.
+func (s *Source) applyDecidedStreamOp(op walOp) error {
+	s.mu.RLock()
+	gen := s.gen
+	fold, err := s.decisionLocked(op)
+	var lanes []classify.StreamEntry
+	if err == nil && fold.Classified {
+		for _, e := range s.classifier.StreamEntries() {
+			if e.Name == fold.DTDName {
+				lanes = append(lanes, e)
+			}
+		}
+	}
+	s.mu.RUnlock()
+	if err != nil {
+		return err
+	}
+	ing := stream.NewIngestor(s.tab, s.streamConfig(op.MaxChildren))
+	out, err := ing.Run(strings.NewReader(op.Text), lanes, nil)
+	if err != nil {
+		return err
+	}
+	if fold.Classified && !ing.Committable(fold.DTDName) {
+		return fmt.Errorf("document root is gated out of DTD %q", fold.DTDName)
+	}
+	s.mu.Lock()
+	res, err := s.commitStreamLocked(ing, fold, gen, op.MaxChildren, bytes.NewBufferString(op.Text), out.Degraded)
+	if err == nil {
+		s.fireTriggers(&res)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.metrics.ObserveStream(out.Consumed)
 	return nil
 }

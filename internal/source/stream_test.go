@@ -340,8 +340,8 @@ func TestAddStreamStoreRaw(t *testing.T) {
 
 // TestAddStreamRepositoryReplaysSymbols: the pull parser interns every tag
 // it reads, so a streamed document that lands in the repository adds its
-// names to the symbol table live. Replaying its "doc" record through Add
-// must intern the same names in the same order: the recovered snapshot is
+// names to the symbol table live. Replaying its "doc" record must intern
+// the same names in the same order: the recovered snapshot is
 // byte-identical to the live one.
 func TestAddStreamRepositoryReplaysSymbols(t *testing.T) {
 	dir := t.TempDir()
