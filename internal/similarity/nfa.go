@@ -1,10 +1,13 @@
 package similarity
 
 import (
+	"math/bits"
+	"slices"
+	"sync"
+
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/intern"
 	"dtdevolve/internal/xmltree"
-	"sync"
 )
 
 // The alignment of a child-element sequence against an element-content
@@ -44,6 +47,14 @@ type nfa struct {
 	syms   [][]symEdge
 	start  int
 	accept int
+	// nestedAny records an ANY inside the model. The alignment reads it as
+	// the empty sequence, the validator's automaton as a wildcard loop, so
+	// for such a model a validity run does not decide the all-match
+	// language (see StreamEval's deferred frames).
+	nestedAny bool
+	// startSet is the bitset every all-match run starts from: the start
+	// state's closure over zero-minus epsilon edges.
+	startSet []uint64
 }
 
 // compiled returns the automaton for model, building and caching it on
@@ -58,17 +69,22 @@ func (e *Evaluator) compiled(model *dtd.Content) *nfa {
 	if a, ok := e.nfaMemo[model]; ok {
 		return a
 	}
-	b := &nfaBuilder{e: e}
+	// Every model node compiles to two states; sizing the state tables up
+	// front spares their growth allocations.
+	n := 2 * model.NodeCount()
+	b := &nfaBuilder{e: e, eps: make([][]epsEdge, 0, n), syms: make([][]symEdge, 0, n)}
 	start, accept := b.build(model)
-	a := &nfa{eps: b.eps, syms: b.syms, start: start, accept: accept}
+	a := &nfa{eps: b.eps, syms: b.syms, start: start, accept: accept, nestedAny: b.nestedAny}
+	a.startSet = e.run.startClosure(a)
 	e.nfaMemo[model] = a
 	return a
 }
 
 type nfaBuilder struct {
-	e    *Evaluator
-	eps  [][]epsEdge
-	syms [][]symEdge
+	e         *Evaluator
+	eps       [][]epsEdge
+	syms      [][]symEdge
+	nestedAny bool
 }
 
 func (b *nfaBuilder) newState() int {
@@ -104,6 +120,7 @@ func (b *nfaBuilder) build(c *dtd.Content) (int, int) {
 		// No child elements to consume; character data is costed by the
 		// caller.
 		b.addEps(start, accept, 0)
+		b.nestedAny = b.nestedAny || c.Kind == dtd.Any
 	case dtd.Seq:
 		prev := start
 		for _, ch := range c.Children {
@@ -193,6 +210,7 @@ func putScratch(sc *alignScratch) {
 // best triple that ends in the accept state after all children are
 // consumed.
 func (e *Evaluator) align(a *nfa, n *xmltree.Node, depth int, global bool) Triple {
+	e.aligns++
 	sc := getScratch(len(a.eps))
 	defer putScratch(sc)
 	cur, next := sc.cur, sc.next
@@ -272,4 +290,110 @@ func (e *Evaluator) relaxEps(a *nfa, cells []cell, sc *alignScratch) {
 		}
 	}
 	sc.work = work[:0]
+}
+
+// allMatchRun decides an automaton's all-match language: the child
+// sequences that some start-to-accept path consumes entirely on symbol
+// edges, moving otherwise only on zero-minus epsilon edges. It runs the
+// alignment's own automaton as a reachable-state bitset, like
+// validate.Run, so a nested ANY reads as the empty sequence here exactly
+// as it does in the DP. Each evaluator owns one run (a run completes
+// before the evaluator recurses), and its buffers are grow-only, so
+// deciding a sequence allocates nothing at steady state.
+type allMatchRun struct {
+	a         *nfa
+	cur, next []uint64
+	// work holds states queued for the epsilon closure; a state is queued
+	// only when newly added to a set, so it never outgrows the automaton.
+	work []int32
+}
+
+// allMatchAccepts reports whether the element children of n spell a word
+// of a's all-match language.
+// dtdvet:noalloc
+func (e *Evaluator) allMatchAccepts(a *nfa, n *xmltree.Node) bool {
+	r := &e.run
+	r.reset(a)
+	for _, c := range n.Children {
+		if c.Kind == xmltree.Element && !r.step(e.docID(c)) {
+			return false
+		}
+	}
+	return r.cur[a.accept/64]&(1<<(uint(a.accept)%64)) != 0
+}
+
+// reset starts a run of a over the empty sequence.
+func (r *allMatchRun) reset(a *nfa) {
+	r.size(a)
+	copy(r.cur, a.startSet)
+}
+
+// startClosure computes a's start set with r's buffers.
+func (r *allMatchRun) startClosure(a *nfa) []uint64 {
+	r.size(a)
+	clear(r.cur)
+	r.mark(r.cur, int32(a.start))
+	r.close()
+	return slices.Clone(r.cur)
+}
+
+// size points r at a, growing its buffers to a's states.
+func (r *allMatchRun) size(a *nfa) {
+	r.a = a
+	words := (len(a.eps) + 63) / 64
+	if cap(r.cur) < words {
+		buf := make([]uint64, 2*words)
+		r.cur, r.next = buf[:words:words], buf[words:]
+	}
+	if cap(r.work) < len(a.eps) {
+		r.work = make([]int32, 0, len(a.eps))
+	}
+	r.cur, r.next = r.cur[:words], r.next[:words]
+	r.work = r.work[:0]
+}
+
+// step consumes one child with interned label id and reports whether any
+// state is still reachable.
+// dtdvet:noalloc
+func (r *allMatchRun) step(id int32) bool {
+	clear(r.next)
+	for w, word := range r.cur {
+		for word != 0 {
+			s := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			for _, edge := range r.a.syms[s] {
+				if edge.id == id {
+					r.mark(r.next, int32(edge.to))
+				}
+			}
+		}
+	}
+	r.cur, r.next = r.next, r.cur
+	live := len(r.work) > 0
+	r.close()
+	return live
+}
+
+// mark adds s to set, queueing it for the epsilon closure when new.
+// dtdvet:noalloc
+func (r *allMatchRun) mark(set []uint64, s int32) {
+	if bit := uint64(1) << (uint(s) % 64); set[s/64]&bit == 0 {
+		set[s/64] |= bit
+		r.work = append(r.work, s)
+	}
+}
+
+// close extends the current set over the zero-minus epsilon edges of the
+// queued states; a delete edge (minus > 0) is not an all-match move.
+// dtdvet:noalloc
+func (r *allMatchRun) close() {
+	for len(r.work) > 0 {
+		s := r.work[len(r.work)-1]
+		r.work = r.work[:len(r.work)-1]
+		for _, edge := range r.a.eps[s] {
+			if edge.minus == 0 {
+				r.mark(r.cur, int32(edge.to))
+			}
+		}
+	}
 }

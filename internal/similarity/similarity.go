@@ -107,6 +107,16 @@ func (c Config) Eval(t Triple) float64 {
 	return num / den
 }
 
+// allMatchExact reports whether the all-match shortcut can reproduce the
+// alignment under c (DESIGN.md §3.1): exact tag equality, positive triple
+// weights, so that skipping a child or a required model part lowers the
+// score, and a non-negative decay, so that every match adds a
+// non-negative common mass and every skip costs at least 1.
+func (c Config) allMatchExact() bool {
+	return c.TagSimilarity == nil && c.CommonWeight > 0 && c.PlusWeight > 0 &&
+		c.MinusWeight > 0 && c.Decay >= 0
+}
+
 // score is the linear surrogate maximized by the alignment: the evaluation
 // function E is monotone (increasing in c, decreasing in p and m), and the
 // triple combination is additive, so maximizing wc·c − wp·p − wm·m yields a
@@ -157,6 +167,13 @@ type Evaluator struct {
 	// nil until the first thesaurus lookup. Degrees are config-stable, so
 	// the cache is never cleared.
 	simMemo map[simKey]float64
+	// allMatch enables the all-match shortcut of contentTriple and of
+	// StreamEval's deferred frames (cfg.allMatchExact); run is the
+	// acceptance run of allMatchAccepts.
+	allMatch bool
+	run      allMatchRun
+	// aligns counts the DP alignments run, for tests.
+	aligns int
 }
 
 type triKey struct {
@@ -195,6 +212,7 @@ func newEvaluator(d *dtd.DTD, cfg Config, tab *intern.Table) *Evaluator {
 		nfaMemo:   make(map[*dtd.Content]*nfa),
 		mixedMemo: make(map[*dtd.Content]*labelSet),
 		triMemo:   make(map[triKey]Triple),
+		allMatch:  cfg.allMatchExact(),
 	}
 }
 
@@ -400,7 +418,8 @@ func (e *Evaluator) mixedTriple(model *dtd.Content, n *xmltree.Node, depth int, 
 }
 
 // contentTriple aligns the children of n against an element-content model
-// using the compiled automaton.
+// using the compiled automaton, taking the all-match shortcut where it
+// applies.
 func (e *Evaluator) contentTriple(model *dtd.Content, n *xmltree.Node, depth int, global bool) Triple {
 	a := e.compiled(model)
 	var textPlus float64
@@ -409,9 +428,50 @@ func (e *Evaluator) contentTriple(model *dtd.Content, n *xmltree.Node, depth int
 			textPlus++ // character data is not allowed in element content
 		}
 	}
-	t := e.align(a, n, depth, global)
+	t, ok := e.allMatchTriple(a, n, depth, global)
+	if !ok {
+		t = e.align(a, n, depth, global)
+	}
 	t.Plus += textPlus
 	return t
+}
+
+// allMatchTriple is the alignment's result when the element children of n
+// spell a word of a's all-match language and every child's match delta
+// is perfect (zero plus, zero minus): the sum of those deltas in document
+// order. That all-match path strictly outscores every other path, and the
+// sum repeats the additions the DP makes along it, so the triple is
+// bit-identical to align's (DESIGN.md §3.1). ok is false when the
+// shortcut does not apply; deltas computed before an imperfect child stay
+// memoized for the DP.
+func (e *Evaluator) allMatchTriple(a *nfa, n *xmltree.Node, depth int, global bool) (t Triple, ok bool) {
+	if !e.allMatch || !e.allMatchAccepts(a, n) {
+		return Triple{}, false
+	}
+	for _, c := range n.Children {
+		if c.Kind != xmltree.Element {
+			continue
+		}
+		delta := e.matchDelta(c, c.Name, depth, global, 1)
+		if delta.Plus != 0 || delta.Minus != 0 {
+			return Triple{}, false
+		}
+		t = t.Add(delta)
+	}
+	return t, e.allMatchWins(t)
+}
+
+// allMatchWins reports whether the all-match sum t outscores every other
+// alignment path in floating point, not only in exact arithmetic. Any
+// other path skips a child (plus ≥ 1) or a required part (minus ≥ 1) and
+// matches no more common mass, so it scores at most wc·c minus wp or wm.
+// That subtraction must survive rounding at every prefix of the sum: it
+// does when half the gap below wc·c is less than min(wp, wm), and the
+// gap only widens as the sum grows. Otherwise the DP could keep another
+// path at an equal score (at wc = 1e17, wp = wm = 1 it does).
+func (e *Evaluator) allMatchWins(t Triple) bool {
+	s := e.cfg.CommonWeight * t.Common
+	return s-math.Nextafter(s, 0) < 2*math.Min(e.cfg.PlusWeight, e.cfg.MinusWeight)
 }
 
 // partialMatch is the triple of a tag match with degree ts: the matched

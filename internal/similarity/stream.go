@@ -18,6 +18,15 @@
 // (validate.LocalValid semantics) so the recording path can reuse it: for
 // element content it runs the validator's own content-model automaton,
 // one step per child element.
+//
+// A content frame defers its DP while its children are all-match and
+// perfect (the shortcut of Evaluator.allMatchTriple): it sums their match
+// deltas and buffers each child's DP input, at most deferBuf of them. The
+// first imperfect child, a dead validity run, a full buffer, or a close
+// without an accepted sequence replays the buffer into a fresh DP layer,
+// which then continues as if it had run from the start; an accepted close
+// returns the sum. Memory stays O(open depth × (automaton states +
+// deferBuf)).
 package similarity
 
 import (
@@ -40,6 +49,18 @@ const (
 	modeContent
 )
 
+// deferBuf is how many children a content frame buffers before it starts
+// its DP: more than a log event's 3–4, few enough that a frame stays small.
+const deferBuf = 8
+
+// pending is one buffered child of a deferred content frame: the inputs
+// of the DP step it would have taken.
+type pending struct {
+	id    int32
+	w     float64
+	delta Triple
+}
+
 // sframe is the per-open-element state of one streaming evaluation.
 type sframe struct {
 	mode       streamMode
@@ -61,6 +82,13 @@ type sframe struct {
 	cells      []cell       // content: current DP layer
 	spare      []cell       // content: next DP layer (swapped each step)
 	run        validate.Run // content: validity over the child tags so far
+	// deferred: a content frame has not started its DP. Its children so
+	// far are all-match and perfect, sum holds their deltas' sum and
+	// buf[:nbuf] their DP inputs.
+	deferred bool
+	sum      Triple
+	nbuf     int
+	buf      [deferBuf]pending
 }
 
 // StreamEval scores one document against one DTD from a stream of events.
@@ -78,6 +106,8 @@ type StreamEval struct {
 	rootT        Triple
 	rootDeclared bool
 	closed       bool
+	// dpSteps counts the DP steps taken, replays included, for tests.
+	dpSteps int
 }
 
 // GetStream borrows a streaming evaluator for the pool's DTD. Return it
@@ -124,7 +154,7 @@ func (se *StreamEval) Start(id int32, name string) {
 	decl, declared := se.e.d.Elements[name]
 	f.id, f.name, f.decl, f.declared = id, name, decl, declared
 	f.triples = declared && depth < se.e.cfg.MaxDepth
-	f.degraded, f.hasText = false, false
+	f.degraded, f.hasText, f.deferred = false, false, false
 	f.mixedOK = true
 	f.t, f.anyT, f.textPlus = Triple{}, Triple{}, 0
 	f.childCount, f.elemCount = 0, 0
@@ -143,12 +173,21 @@ func (se *StreamEval) Start(id int32, name string) {
 	default:
 		f.mode = modeContent
 		f.a = se.e.compiled(decl)
-		se.initContent(f)
+		f.run.Reset(se.v.Automaton(decl))
+		// The validity run decides the all-match language only where the
+		// validator and the DP read the model alike: not across a nested
+		// ANY.
+		f.deferred = f.triples && se.e.allMatch && !f.a.nestedAny
+		f.sum, f.nbuf = Triple{}, 0
+		if f.triples && !f.deferred {
+			se.startDP(f)
+		}
 	}
 }
 
-// initContent prepares the DP layer and validity run of a content frame.
-func (se *StreamEval) initContent(f *sframe) {
+// startDP prepares a content frame's DP layer over the empty child
+// sequence.
+func (se *StreamEval) startDP(f *sframe) {
 	n := len(f.a.eps)
 	if cap(f.cells) < n {
 		f.cells = make([]cell, n)
@@ -156,14 +195,23 @@ func (se *StreamEval) initContent(f *sframe) {
 	}
 	f.cells, f.spare = f.cells[:n], f.spare[:n]
 	se.growScratch(n)
-	if f.triples {
-		for i := range f.cells {
-			f.cells[i] = cell{}
-		}
-		f.cells[f.a.start] = cell{ok: true}
-		se.e.relaxEps(f.a, f.cells, &se.sc)
+	for i := range f.cells {
+		f.cells[i] = cell{}
 	}
-	f.run.Reset(se.v.Automaton(f.decl))
+	f.cells[f.a.start] = cell{ok: true}
+	se.e.relaxEps(f.a, f.cells, &se.sc)
+}
+
+// replay ends a frame's deferral: it starts the DP and feeds it the
+// buffered children, leaving the layer the frame would hold had it never
+// deferred.
+func (se *StreamEval) replay(f *sframe) {
+	f.deferred = false
+	se.startDP(f)
+	for i := range f.buf[:f.nbuf] {
+		c := &f.buf[i]
+		se.dpStep(f, c.id, c.w, c.delta)
+	}
 }
 
 // growScratch sizes the shared worklist scratch for n automaton states.
@@ -262,6 +310,14 @@ func (se *StreamEval) ownTriple(f *sframe) Triple {
 		if f.degraded {
 			return f.anyT
 		}
+		if f.deferred {
+			if f.run.Accepts() && se.e.allMatchWins(f.sum) {
+				t := f.sum
+				t.Plus += f.textPlus
+				return t
+			}
+			se.replay(f)
+		}
 		t := Triple{Minus: 1}
 		if f.cells[f.a.accept].ok {
 			t = f.cells[f.a.accept].t
@@ -278,6 +334,19 @@ func (se *StreamEval) ownTriple(f *sframe) Triple {
 // elementTriple would, and its validity state consumes the child's tag.
 // dtdvet:noalloc
 func (se *StreamEval) consume(p *sframe, cid int32, name string, childDeclared bool, childW float64, childT Triple) {
+	// Validity consumes the child tag at every depth (recording is not
+	// depth-capped), independent of the triple accumulation below.
+	live := true
+	switch p.mode {
+	case modeMixed:
+		if p.mixedOK && !p.inMixedSet(cid) {
+			p.mixedOK = false
+		}
+	case modeContent:
+		if !p.degraded {
+			live = p.run.Step(name)
+		}
+	}
 	decay := se.e.cfg.Decay
 	if p.triples {
 		switch p.mode {
@@ -313,22 +382,28 @@ func (se *StreamEval) consume(p *sframe, cid int32, name string, childDeclared b
 				if childDeclared {
 					delta = delta.Add(childT.Scale(decay))
 				}
-				se.dpStep(p, cid, childW, delta)
+				se.contentStep(p, cid, live, childW, delta)
 			}
 		}
 	}
-	// Validity consumes the child tag at every depth (recording is not
-	// depth-capped), independent of the triple accumulation above.
-	switch p.mode {
-	case modeMixed:
-		if p.mixedOK && !p.inMixedSet(cid) {
-			p.mixedOK = false
+}
+
+// contentStep advances a content frame by one child element: a deferred
+// frame buffers an all-match, perfect child while its validity run lives
+// and its buffer has room, and otherwise replays into the DP, which takes
+// the step.
+// dtdvet:noalloc
+func (se *StreamEval) contentStep(p *sframe, cid int32, live bool, childW float64, delta Triple) {
+	if p.deferred {
+		if live && delta.Plus == 0 && delta.Minus == 0 && p.nbuf < deferBuf {
+			p.sum = p.sum.Add(delta)
+			p.buf[p.nbuf] = pending{id: cid, w: childW, delta: delta}
+			p.nbuf++
+			return
 		}
-	case modeContent:
-		if !p.degraded {
-			p.run.Step(name)
-		}
+		se.replay(p)
 	}
+	se.dpStep(p, cid, childW, delta)
 }
 
 // inMixedSet reports whether cid is in the mixed model's label alphabet.
@@ -350,6 +425,7 @@ func (p *sframe) inMixedSet(cid int32) bool {
 // childW, the symbol moves at delta, then the epsilon relaxation.
 // dtdvet:noalloc
 func (se *StreamEval) dpStep(p *sframe, cid int32, childW float64, delta Triple) {
+	se.dpSteps++
 	a := p.a
 	cur, next := p.cells, p.spare
 	for i := range next {
