@@ -736,6 +736,30 @@ func manyDTDRegistry(set func(name string, d *dtd.DTD)) []*xmltree.Document {
 	return g.MutatedDocuments(family, 32, 2, 0.5)
 }
 
+// BenchmarkRegisterManyDTDs measures DTD registration: each iteration
+// registers the BenchmarkClassifyManyDTDs registry's 1,000 DTDs, generated
+// outside the timer, into a fresh Source through AddDTD. Registration
+// interns each DTD's labels and compiles its recorder, classifier entry and
+// evaluator pool, so its cost per DTD should not grow with the symbols the
+// Source already holds.
+func BenchmarkRegisterManyDTDs(b *testing.B) {
+	type named struct {
+		name string
+		d    *dtd.DTD
+	}
+	var dtds []named
+	manyDTDRegistry(func(name string, d *dtd.DTD) { dtds = append(dtds, named{name, d}) })
+	cfg := source.DefaultConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := source.New(cfg)
+		for _, n := range dtds {
+			s.AddDTD(n.name, n.d)
+		}
+	}
+}
+
 // BenchmarkRecoverManyDTDs measures the recovery path that WAL recovery
 // and followers share, on the BenchmarkClassifyManyDTDs registry: outside
 // the timer it checkpoints the registry and journals 256 of its family

@@ -11,48 +11,73 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dtdevolve"
 )
 
 func main() {
-	dtdPath := flag.String("dtd", "", "path to the DTD file (default: use each document's internal subset)")
-	rootName := flag.String("root", "", "root element name the DTD describes (default: first declared element)")
-	decay := flag.Float64("decay", 0.5, "level decay of the similarity measure (0, 1]")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dtdcheck [-dtd schema.dtd] [-root name] doc.xml...\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams; it returns the
+// exit status: 0 when every document is valid, 1 on an invalid or unreadable
+// document, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("dtdcheck", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	dtdPath := flags.String("dtd", "", "path to the DTD file (default: use each document's internal subset)")
+	rootName := flags.String("root", "", "root element name the DTD describes (default: first declared element)")
+	decay := flags.Float64("decay", 0.5, "level decay of the similarity measure (0, 1]")
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: dtdcheck [-dtd schema.dtd] [-root name] [-decay d] doc.xml...\n")
+		flags.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() == 0 {
-		flag.Usage()
-		os.Exit(2)
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if flags.NArg() == 0 {
+		flags.Usage()
+		return 2
+	}
+	// Outside (0, 1] the measure is undefined: global similarity 1 no longer
+	// coincides with validity, and a negative decay makes skipping required
+	// content a gain, so the alignment never settles.
+	if !(*decay > 0 && *decay <= 1) {
+		fmt.Fprintf(stderr, "dtdcheck: -decay %v is outside (0, 1]\n", *decay)
+		flags.Usage()
+		return 2
 	}
 
 	var shared *dtdevolve.DTD
 	if *dtdPath != "" {
 		d, err := dtdevolve.ParseDTDFile(*dtdPath)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintf(stderr, "dtdcheck: %v\n", err)
+			return 1
 		}
 		if *rootName != "" {
 			d.Name = *rootName
 		}
 		shared = d
-		warnNondeterministic(d)
+		warnNondeterministic(stderr, d)
 	}
 
 	cfg := dtdevolve.DefaultSimilarityConfig()
 	cfg.Decay = *decay
 
 	exit := 0
-	for _, path := range flag.Args() {
+	for _, path := range flags.Args() {
 		doc, err := dtdevolve.ParseDocumentFile(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtdcheck: %v\n", err)
+			fmt.Fprintf(stderr, "dtdcheck: %v\n", err)
 			exit = 1
 			continue
 		}
@@ -60,12 +85,12 @@ func main() {
 		if d == nil {
 			d, err = dtdevolve.DocumentDTD(doc)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "dtdcheck: %s: internal subset: %v\n", path, err)
+				fmt.Fprintf(stderr, "dtdcheck: %s: internal subset: %v\n", path, err)
 				exit = 1
 				continue
 			}
 			if d == nil {
-				fmt.Fprintf(os.Stderr, "dtdcheck: %s: no -dtd flag and no internal DTD subset\n", path)
+				fmt.Fprintf(stderr, "dtdcheck: %s: no -dtd flag and no internal DTD subset\n", path)
 				exit = 1
 				continue
 			}
@@ -77,27 +102,22 @@ func main() {
 			status = fmt.Sprintf("INVALID (%d violations)", len(violations))
 			exit = 1
 		}
-		fmt.Printf("%s: %s global=%.4f local=%.4f (plus=%.2f minus=%.2f common=%.2f)\n",
+		fmt.Fprintf(stdout, "%s: %s global=%.4f local=%.4f (plus=%.2f minus=%.2f common=%.2f)\n",
 			path, status, res.Global, res.Local, res.Triple.Plus, res.Triple.Minus, res.Triple.Common)
 		for _, v := range violations {
-			fmt.Printf("  %s\n", v)
+			fmt.Fprintf(stdout, "  %s\n", v)
 		}
 	}
-	os.Exit(exit)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "dtdcheck: %v\n", err)
-	os.Exit(1)
+	return exit
 }
 
 // warnNondeterministic flags declarations violating the XML 1.0
 // deterministic-content-model constraint (this tool's validator still
 // handles them, but conforming processors may not).
-func warnNondeterministic(d *dtdevolve.DTD) {
+func warnNondeterministic(stderr io.Writer, d *dtdevolve.DTD) {
 	for name, issues := range dtdevolve.CheckDeterminism(d) {
 		for _, issue := range issues {
-			fmt.Fprintf(os.Stderr, "dtdcheck: warning: <!ELEMENT %s>: nondeterministic content model: %s\n", name, issue)
+			fmt.Fprintf(stderr, "dtdcheck: warning: <!ELEMENT %s>: nondeterministic content model: %s\n", name, issue)
 		}
 	}
 }

@@ -158,6 +158,33 @@ func (d *DTD) Root() (string, *Content) {
 	return "", nil
 }
 
+// Declared returns the names of d's declarations in a deterministic order:
+// d.Order first, skipping undeclared names and repeats, then any
+// declaration missing from d.Order, sorted. Walks whose result depends on
+// the order they visit declarations in (symbol IDs, required weights) use
+// it, so that the result is a function of the DTD and not of map order.
+func (d *DTD) Declared() []string {
+	out := make([]string, 0, len(d.Elements))
+	seen := make(map[string]bool, len(d.Elements))
+	for _, name := range d.Order {
+		if _, ok := d.Elements[name]; ok && !seen[name] {
+			seen[name] = true
+			out = append(out, name)
+		}
+	}
+	if len(out) < len(d.Elements) {
+		rest := make([]string, 0, len(d.Elements)-len(out))
+		for name := range d.Elements {
+			if !seen[name] {
+				rest = append(rest, name)
+			}
+		}
+		sort.Strings(rest)
+		out = append(out, rest...)
+	}
+	return out
+}
+
 // Clone returns a deep copy of the DTD.
 func (d *DTD) Clone() *DTD {
 	c := NewDTD(d.Name)
@@ -395,13 +422,27 @@ func (d *DTD) String() string {
 			if att.Mode != "" {
 				b.WriteString(" " + att.Mode)
 			}
-			if att.Default != "" {
-				fmt.Fprintf(&b, " %q", att.Default)
+			// Without #REQUIRED or #IMPLIED the grammar requires a default
+			// literal, empty or not.
+			if att.Default != "" || att.Mode == "" || att.Mode == "#FIXED" {
+				b.WriteString(" " + quoteLiteral(att.Default))
 			}
 			b.WriteString(">\n")
 		}
 	}
 	return b.String()
+}
+
+// quoteLiteral renders s as an attribute-value literal that the parser
+// reads back unchanged: between double quotes, or between single quotes
+// when s holds a double quote. The parser keeps a literal's text as it is,
+// without unescaping, so escaping here would change the value on every
+// print and parse. A value holding both quote characters has no such form.
+func quoteLiteral(s string) string {
+	if strings.Contains(s, `"`) {
+		return "'" + s + "'"
+	}
+	return `"` + s + `"`
 }
 
 // Equal reports whether two DTDs declare the same elements with structurally

@@ -1,6 +1,7 @@
 package dtd
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -255,4 +256,36 @@ func TestMustParsePanics(t *testing.T) {
 		}
 	}()
 	MustParse("<!ELEMENT broken")
+}
+
+// TestAttlistDefaultsRoundTrip: printing a DTD and parsing the text back
+// keeps every attribute default, including backslashes, quotes and the
+// empty default, so print → parse → print is a fixed point.
+func TestAttlistDefaultsRoundTrip(t *testing.T) {
+	defaults := []string{`p\q`, `C:\dir\`, `say "hi"`, `it's`, `a\"b`, `1.0`, ``}
+	d := NewDTD("a")
+	d.Declare("a", NewEmpty())
+	for i, v := range defaults {
+		d.Attlists["a"] = append(d.Attlists["a"], AttDef{Name: fmt.Sprintf("x%d", i), Type: "CDATA", Default: v})
+	}
+	d.Attlists["a"] = append(d.Attlists["a"],
+		AttDef{Name: "f", Type: "CDATA", Mode: "#FIXED", Default: `q\"`},
+		AttDef{Name: "g", Type: "CDATA", Mode: "#FIXED"},
+		AttDef{Name: "h", Type: "CDATA", Mode: "#IMPLIED"})
+	text := d.String()
+	back, err := ParseString(text)
+	if err != nil {
+		t.Fatalf("parsing printed DTD: %v\n%s", err, text)
+	}
+	if got, want := len(back.Attlists["a"]), len(d.Attlists["a"]); got != want {
+		t.Fatalf("parsed back %d attributes, want %d", got, want)
+	}
+	for i, att := range back.Attlists["a"] {
+		if want := d.Attlists["a"][i]; att != want {
+			t.Errorf("attribute %d: printed and parsed back as %+v, want %+v", i, att, want)
+		}
+	}
+	if again := back.String(); again != text {
+		t.Errorf("print → parse → print changed the text:\n%s\nvs\n%s", text, again)
+	}
 }

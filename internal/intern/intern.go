@@ -7,21 +7,22 @@
 //
 //   - at pool-compile time, every element name and content-model label of
 //     a DTD is interned (InternDTD), so the alignment automata carry IDs
-//     on their symbol edges and the required-weight memo is a dense slice;
+//     on their symbol edges;
 //   - at ingest time, tags of incoming documents that the DTDs never
 //     declared are interned on first sight (Intern), extending the table.
 //
-// Reads (ID, Name, NameIs) are lock-free: the table keeps its state in an
-// atomically-published immutable snapshot, and writers copy-on-write under
-// a mutex. Interning a new symbol is therefore O(n) — the table is meant
-// for element-label alphabets (tens to a few thousand symbols), not for
-// arbitrary document text. A Table never shrinks; it is shared by every
-// pool, evaluator and recorder of one Source so that IDs assigned to a
-// document during classification remain valid during recording.
+// Reads (ID, Name, NameIs) are lock-free: an open-addressing index over an
+// append-only name array, published through an atomic pointer. Writers
+// serialize on a mutex, and interning a new symbol costs amortized O(1):
+// the name array grows by appending and the index doubles at 3/4 load, so
+// a table's cost follows the symbols it holds, however many there are. A
+// Table never shrinks; it is shared by every pool, evaluator and recorder
+// of one Source so that IDs assigned to a document during classification
+// remain valid during recording.
 package intern
 
 import (
-	"sort"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 
@@ -33,26 +34,127 @@ import (
 // cached label ID, and the lookup result for unknown names.
 const None int32 = 0
 
+// minSlots is the index size of an empty table; a power of two.
+const minSlots = 16
+
 // Table is a concurrency-safe label → dense-ID symbol table. IDs are
 // assigned consecutively starting at 1; 0 is None. The zero value is not
 // usable; call NewTable.
 type Table struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// work is the writer's state, guarded by mu. It runs ahead of the
+	// published state while InternAll adds a batch.
+	work  tableState
 	state atomic.Pointer[tableState]
 }
 
-// tableState is an immutable snapshot: readers load it atomically and
-// never observe a partially-updated table.
+// tableState is one published state of the table: readers load it
+// atomically, and every name and slot it covers stays as it is.
+//
+// Successive states share their arrays. The writer appends to names past
+// the published length and fills empty slots; a reader ignores both,
+// because it treats a slot holding an ID at or past its own len(names) as
+// empty. That is exact under linear probing: a name present in the state
+// was inserted before any such slot was filled, so its probe never meets
+// one. The writer replaces slots with a doubled copy at 3/4 load.
 type tableState struct {
-	ids   map[string]int32
+	seed maphash.Seed
+	// slots is the index, a power-of-two array probed from a name's hash.
+	slots []slot
 	names []string // names[id]; names[0] is "" for None
 }
 
+// slot is one index entry. The writer sets name before it stores e, and a
+// reader reads name only for an ID its state covers, so name needs no
+// atomic access. Keeping the name beside its word spares a lookup the
+// dependent load of names[id].
+type slot struct {
+	e    atomic.Uint64 // hash<<32 | ID; 0 marks an empty slot
+	name string
+}
+
 // NewTable returns an empty table.
+// dtdvet:allow locks -- builds a fresh Table not yet shared with any goroutine
 func NewTable() *Table {
-	t := &Table{}
-	t.state.Store(&tableState{ids: map[string]int32{}, names: []string{""}})
+	t := &Table{work: tableState{
+		seed:  maphash.MakeSeed(),
+		slots: make([]slot, minSlots),
+		names: []string{""},
+	}}
+	t.publishLocked()
 	return t
+}
+
+// find returns the ID of name in s, or None. h is name's hash under
+// s.seed.
+func find[T string | []byte](s *tableState, h uint32, name T) int32 {
+	mask := uint32(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
+		e := sl.e.Load()
+		id := int32(uint32(e))
+		if e == 0 || int(id) >= len(s.names) {
+			return None
+		}
+		if uint32(e>>32) == h && sl.name == string(name) {
+			return id
+		}
+	}
+}
+
+// lookup returns the ID of name in s, or None.
+func (s *tableState) lookup(name string) int32 {
+	return find(s, uint32(maphash.String(s.seed, name)), name)
+}
+
+// addLocked returns the ID of name in the writer's state, appending it
+// when new. name is not empty.
+// dtdvet:requires mu
+func (t *Table) addLocked(name string) int32 {
+	w := &t.work
+	h := uint32(maphash.String(w.seed, name))
+	if id := find(w, h, name); id != None {
+		return id
+	}
+	if 4*len(w.names) > 3*len(w.slots) {
+		w.slots = regrow(w.slots)
+	}
+	id := int32(len(w.names))
+	w.names = append(w.names, name)
+	place(w.slots, uint64(h)<<32|uint64(uint32(id)), name)
+	return id
+}
+
+// place fills the first empty slot of the probe of the word e.
+func place(slots []slot, e uint64, name string) {
+	mask := uint32(len(slots) - 1)
+	for i := uint32(e>>32) & mask; ; i = (i + 1) & mask {
+		if sl := &slots[i]; sl.e.Load() == 0 {
+			sl.name = name
+			sl.e.Store(e)
+			return
+		}
+	}
+}
+
+// regrow returns an index twice the size of slots holding the same entries.
+// Every ID in slots is below the length of any state published with the
+// new index, so the order of re-insertion does not matter to readers.
+func regrow(slots []slot) []slot {
+	grown := make([]slot, 2*len(slots))
+	for i := range slots {
+		if e := slots[i].e.Load(); e != 0 {
+			place(grown, e, slots[i].name)
+		}
+	}
+	return grown
+}
+
+// publishLocked makes the writer's state visible to readers.
+// dtdvet:requires mu
+func (t *Table) publishLocked() {
+	w := t.work
+	t.state.Store(&w)
 }
 
 // Len returns the number of interned symbols (excluding None).
@@ -60,24 +162,17 @@ func (t *Table) Len() int { return len(t.state.Load().names) - 1 }
 
 // ID returns the ID of name, or None when it has never been interned.
 // Lock-free.
-func (t *Table) ID(name string) int32 { return t.state.Load().ids[name] }
+func (t *Table) ID(name string) int32 { return t.state.Load().lookup(name) }
 
 // Name returns the symbol with the given ID, or "" for None and
 // out-of-range IDs. Lock-free.
-func (t *Table) Name(id int32) string {
-	s := t.state.Load()
-	if id <= 0 || int(id) >= len(s.names) {
-		return ""
-	}
-	return s.names[id]
-}
+func (t *Table) Name(id int32) string { return View{s: t.state.Load()}.Name(id) }
 
 // NameIs reports whether id is a valid ID naming exactly name. It lets a
 // consumer verify a cached ID (e.g. xmltree.Node.LabelID, possibly stamped
 // by a different table) before trusting it. Lock-free.
 func (t *Table) NameIs(id int32, name string) bool {
-	s := t.state.Load()
-	return id > 0 && int(id) < len(s.names) && s.names[id] == name
+	return View{s: t.state.Load()}.NameIs(id, name)
 }
 
 // View is an immutable point-in-time snapshot of a Table. All its lookups
@@ -93,7 +188,7 @@ type View struct {
 func (t *Table) View() View { return View{s: t.state.Load()} }
 
 // ID returns the ID of name in the snapshot, or None.
-func (v View) ID(name string) int32 { return v.s.ids[name] }
+func (v View) ID(name string) int32 { return v.s.lookup(name) }
 
 // Len returns the number of symbols in the snapshot (excluding None).
 func (v View) Len() int { return len(v.s.names) - 1 }
@@ -113,90 +208,52 @@ func (v View) NameIs(id int32, name string) bool {
 
 // Intern returns the ID of name, assigning the next dense ID when the name
 // is new. The read path is lock-free; only the first interning of a name
-// takes the write lock and republishes a copied snapshot. Interning "" is
-// a no-op returning None.
+// takes the write lock. Interning "" is a no-op returning None.
 func (t *Table) Intern(name string) int32 {
 	if name == "" {
 		return None
 	}
-	if id, ok := t.state.Load().ids[name]; ok {
+	if id := t.state.Load().lookup(name); id != None {
 		return id
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.state.Load()
-	if id, ok := s.ids[name]; ok {
-		// Lost the race to another writer.
-		return id
-	}
-	ids := make(map[string]int32, len(s.ids)+1)
-	for k, v := range s.ids {
-		ids[k] = v
-	}
-	id := int32(len(s.names))
-	ids[name] = id
-	names := make([]string, len(s.names)+1)
-	copy(names, s.names)
-	names[id] = name
-	t.state.Store(&tableState{ids: ids, names: names})
+	id := t.addLocked(name)
+	t.publishLocked()
 	return id
 }
 
 // InternBytes returns the ID and canonical interned string of the symbol
 // spelled by b, interning it when new. The found path is lock-free and does
-// not copy b (the map lookup compiles to a no-allocation probe), so the
-// streaming parser can resolve element names straight out of its read
-// window. Only the first sighting of a name allocates. An empty b returns
-// (None, "").
+// not copy b, so the streaming parser can resolve element names straight
+// out of its read window. Only the first sighting of a name allocates. An
+// empty b returns (None, "").
 func (t *Table) InternBytes(b []byte) (int32, string) {
 	if len(b) == 0 {
 		return None, ""
 	}
 	s := t.state.Load()
-	if id, ok := s.ids[string(b)]; ok {
+	if id := find(s, uint32(maphash.Bytes(s.seed, b)), b); id != None {
 		return id, s.names[id]
 	}
 	id := t.Intern(string(b))
 	return id, t.Name(id)
 }
 
-// InternAll interns every name in names, taking the write lock and copying
-// the snapshot at most once — use it over per-name Intern calls when
-// seeding a table, where n copy-on-write extensions would cost O(n²).
-// Empty names are skipped.
+// InternAll interns every name in names in slice order, taking the write
+// lock and publishing once. Empty names are skipped.
 func (t *Table) InternAll(names []string) {
-	s := t.state.Load()
-	fresh := 0
-	for _, n := range names {
-		if n != "" {
-			if _, ok := s.ids[n]; !ok {
-				fresh++
-			}
-		}
-	}
-	if fresh == 0 {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s = t.state.Load()
-	ids := make(map[string]int32, len(s.ids)+fresh)
-	for k, v := range s.ids {
-		ids[k] = v
-	}
-	grown := make([]string, len(s.names), len(s.names)+fresh)
-	copy(grown, s.names)
-	for _, n := range names {
-		if n == "" {
-			continue
+	n := len(t.work.names)
+	for _, name := range names {
+		if name != "" {
+			t.addLocked(name)
 		}
-		if _, ok := ids[n]; ok {
-			continue
-		}
-		ids[n] = int32(len(grown))
-		grown = append(grown, n)
 	}
-	t.state.Store(&tableState{ids: ids, names: grown})
+	if len(t.work.names) > n {
+		t.publishLocked()
+	}
 }
 
 // Names returns the interned symbols in ID order, starting at ID 1.
@@ -210,36 +267,18 @@ func (t *Table) Names() []string {
 // InternDTD interns every element name and every content-model label of d,
 // in one batched table extension. Called once per DTD at pool-compile time.
 //
-// The walk is deterministic (declaration order, then any programmatic
-// additions missing from d.Order, sorted): the ID assignment must be a pure
-// function of the operation history, so that a WAL replay reproduces the
-// live table exactly and snapshots carrying interned IDs (source snapshot
-// v2) compare equal across recoveries.
+// The walk is deterministic (dtd.DTD.Declared order): the ID assignment
+// must be a pure function of the operation history, so that a WAL replay
+// reproduces the live table exactly and snapshots carrying interned IDs
+// (source snapshot v2) compare equal across recoveries.
 func InternDTD(t *Table, d *dtd.DTD) {
 	if d == nil {
 		return
 	}
 	names := make([]string, 0, 2*len(d.Elements))
-	seen := make(map[string]bool, len(d.Elements))
-	for _, name := range d.Order {
-		if model, ok := d.Elements[name]; ok && !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-			names = collectContent(names, model)
-		}
-	}
-	if len(seen) < len(d.Elements) {
-		rest := make([]string, 0, len(d.Elements)-len(seen))
-		for name := range d.Elements {
-			if !seen[name] {
-				rest = append(rest, name)
-			}
-		}
-		sort.Strings(rest)
-		for _, name := range rest {
-			names = append(names, name)
-			names = collectContent(names, d.Elements[name])
-		}
+	for _, name := range d.Declared() {
+		names = append(names, name)
+		names = collectContent(names, d.Elements[name])
 	}
 	t.InternAll(names)
 }
@@ -257,49 +296,19 @@ func collectContent(names []string, c *dtd.Content) []string {
 	return names
 }
 
-// InternDocument interns the tag of every element node under root and
-// stamps the node's cached LabelID. The table itself is safe for
-// concurrent interning, but stamping writes to the nodes: callers must be
-// the only writer of the tree (the source engine stamps documents under
-// its write lock, just before recording).
-//
-// Unknown tags are collected in one pass and interned with a single
-// batched table extension: a document full of fresh tags costs one
-// copy-on-write instead of one per tag, which matters because per-symbol
-// Intern is O(table) and a stream of novel-tag documents would otherwise
-// grow the table in O(n²).
+// InternDocument interns the tag of every element node under root, in
+// document order, and stamps the node's cached LabelID. The table itself
+// is safe for concurrent interning, but stamping writes to the nodes:
+// callers must be the only writer of the tree (the source engine stamps
+// documents under its write lock, just before recording).
 func InternDocument(t *Table, root *xmltree.Node) {
 	if root == nil {
 		return
 	}
-	v := t.View()
-	var fresh []string
-	collectFresh(v, root, &fresh)
-	if len(fresh) > 0 {
-		t.InternAll(fresh)
-		v = t.View()
+	if root.Kind == xmltree.Element {
+		root.SetLabelID(t.Intern(root.Name))
 	}
-	stampLabels(v, root)
-}
-
-// collectFresh appends the tags under root missing from the snapshot.
-// Repetitions are fine: InternAll deduplicates.
-func collectFresh(v View, n *xmltree.Node, fresh *[]string) {
-	if n.Kind == xmltree.Element && n.Name != "" && v.ID(n.Name) == None {
-		*fresh = append(*fresh, n.Name)
-	}
-	for _, c := range n.Children {
-		collectFresh(v, c, fresh)
-	}
-}
-
-// stampLabels writes the snapshot ID of every element tag under root into
-// the node's LabelID cache.
-func stampLabels(v View, n *xmltree.Node) {
-	if n.Kind == xmltree.Element {
-		n.SetLabelID(v.ID(n.Name))
-	}
-	for _, c := range n.Children {
-		stampLabels(v, c)
+	for _, c := range root.Children {
+		InternDocument(t, c)
 	}
 }

@@ -201,9 +201,8 @@ func TestViewSnapshot(t *testing.T) {
 }
 
 // TestInternDocumentBatchesFreshTags checks that a document of entirely
-// novel tags grows the table through one batched extension: the assigned
-// IDs are dense and in document order, exactly what a single InternAll of
-// the collected tags yields.
+// novel tags gets dense IDs in document order of first sight, exactly what
+// a single InternAll of its tags yields: the order replay assigns them in.
 func TestInternDocumentBatchesFreshTags(t *testing.T) {
 	doc, err := xmltree.ParseString(`<r><x1/><x2><x3/></x2><x1/></r>`)
 	if err != nil {
@@ -249,5 +248,191 @@ func TestInternDocumentRestampsAfterForeignStamp(t *testing.T) {
 	InternDocument(fresh, doc.Root)
 	if id := doc.Root.LabelID(); !fresh.NameIs(id, "b") {
 		t.Errorf("root not restamped: ID %d in fresh table is %q", id, fresh.Name(id))
+	}
+}
+
+// TestInternConcurrentMixed runs writers through Intern, InternBytes and
+// InternAll on one overlapping name set while readers take views. IDs must
+// come out dense, every name must round-trip, and a view must never
+// resolve a symbol interned after it was taken. Run with -race.
+func TestInternConcurrentMixed(t *testing.T) {
+	tab := NewTable()
+	const writers, readers, names = 6, 2, 3000
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			batch := make([]string, 0, 8)
+			for i := 0; i < names; i++ {
+				n := name((i*7 + g*131) % names) // every writer sees every name
+				switch (i + g) % 3 {
+				case 0:
+					if id := tab.Intern(n); tab.Name(id) != n {
+						t.Errorf("Intern(%q) = %d, which names %q", n, id, tab.Name(id))
+						return
+					}
+				case 1:
+					if id, s := tab.InternBytes([]byte(n)); s != n || tab.Name(id) != n {
+						t.Errorf("InternBytes(%q) = %d, %q", n, id, s)
+						return
+					}
+				default:
+					if batch = append(batch, n); len(batch) == cap(batch) {
+						tab.InternAll(batch)
+						batch = batch[:0]
+					}
+				}
+			}
+			tab.InternAll(batch)
+		}(g)
+	}
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				v := tab.View()
+				for id := int32(1); id <= int32(v.Len()); id++ {
+					if n := v.Name(id); n == "" || v.ID(n) != id || !v.NameIs(id, n) {
+						t.Errorf("view of %d symbols: ID %d names %q, which resolves to %d", v.Len(), id, n, v.ID(n))
+						return
+					}
+				}
+				later := tab.View()
+				for id := int32(v.Len() + 1); id <= int32(later.Len()); id++ {
+					n := later.Name(id)
+					if v.ID(n) != None || v.NameIs(id, n) || v.Name(id) != "" {
+						t.Errorf("view of %d symbols resolves %q, interned later as %d", v.Len(), n, id)
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+	if tab.Len() != names {
+		t.Fatalf("Len = %d, want %d", tab.Len(), names)
+	}
+	seen := make(map[string]bool, names)
+	for i, n := range tab.Names() {
+		if id := tab.ID(n); id != int32(i+1) || seen[n] {
+			t.Fatalf("Names()[%d] = %q: ID %d, repeated %v", i, n, id, seen[n])
+		}
+		seen[n] = true
+	}
+	for i := 0; i < names; i++ {
+		if !seen[name(i)] {
+			t.Fatalf("%q was never interned", name(i))
+		}
+	}
+}
+
+// TestInternGrowthKeepsIDs interns enough symbols to double the index
+// several times, through single Interns and one large InternAll, and checks
+// that every ID still resolves both ways and that views taken before the
+// growth keep their contents.
+func TestInternGrowthKeepsIDs(t *testing.T) {
+	tab := NewTable()
+	var views []View
+	var batch []string
+	for i := 0; i < 5000; i++ {
+		n := fmt.Sprintf("s%d", i)
+		if i < 2500 {
+			if id := tab.Intern(n); id != int32(i+1) {
+				t.Fatalf("Intern(%q) = %d, want %d", n, id, i+1)
+			}
+		} else {
+			batch = append(batch, n)
+		}
+		if i%500 == 0 {
+			views = append(views, tab.View())
+		}
+	}
+	tab.InternAll(batch)
+	for i := 0; i < 5000; i++ {
+		n := fmt.Sprintf("s%d", i)
+		if id := tab.ID(n); id != int32(i+1) || tab.Name(id) != n {
+			t.Fatalf("%q: ID %d, Name %q", n, id, tab.Name(id))
+		}
+	}
+	for _, v := range views {
+		for id := int32(1); id <= int32(v.Len()+1); id++ {
+			n := fmt.Sprintf("s%d", id-1)
+			if want := id <= int32(v.Len()); (v.ID(n) == id) != want {
+				t.Fatalf("view of %d symbols: ID(%q) = %d", v.Len(), n, v.ID(n))
+			}
+		}
+	}
+}
+
+// TestLookupAllocs pins the found paths at 0 allocs: the streaming parser
+// resolves every element name through InternBytes, and signatures resolve
+// every tag through a View.
+func TestLookupAllocs(t *testing.T) {
+	tab := NewTable()
+	for i := 0; i < 1000; i++ {
+		tab.Intern(fmt.Sprintf("e%d", i))
+	}
+	b := []byte("e500")
+	v := tab.View()
+	allocs := testing.AllocsPerRun(100, func() {
+		if id, _ := tab.InternBytes(b); id == None {
+			t.Fatal("e500 not found")
+		}
+		if tab.ID("e7") == None || v.ID("e7") == None || tab.Intern("e9") == None {
+			t.Fatal("lookup missed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("found-path lookups allocate %.1f objects/op, want 0", allocs)
+	}
+}
+
+func benchTable() (*Table, []string) {
+	tab := NewTable()
+	names := make([]string, 7000)
+	for i := range names {
+		names[i] = fmt.Sprintf("s%03d_e%d", i/7, i%7)
+	}
+	tab.InternAll(names)
+	return tab, names
+}
+
+// BenchmarkViewID is the found-path lookup classification runs per tag.
+func BenchmarkViewID(b *testing.B) {
+	tab, names := benchTable()
+	v := tab.View()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if v.ID(names[i%len(names)]) == None {
+			b.Fatal("miss")
+		}
+	}
+}
+
+// BenchmarkInternBytesFound is the found-path lookup the streaming parser
+// runs per element name.
+func BenchmarkInternBytesFound(b *testing.B) {
+	tab, names := benchTable()
+	raw := make([][]byte, len(names))
+	for i, n := range names {
+		raw[i] = []byte(n)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if id, _ := tab.InternBytes(raw[i%len(raw)]); id == None {
+			b.Fatal("miss")
+		}
 	}
 }

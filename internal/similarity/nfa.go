@@ -115,7 +115,7 @@ func (b *nfaBuilder) build(c *dtd.Content) (int, int) {
 	case dtd.Name:
 		id := b.e.tab.Intern(c.Name)
 		b.addSym(start, accept, id, c.Name)
-		b.addSkip(start, accept, b.e.requiredWeight(c.Name, id), c.Name)
+		b.addSkip(start, accept, b.e.requiredWeight(c.Name), c.Name)
 	case dtd.PCDATA, dtd.Empty, dtd.Any:
 		// No child elements to consume; character data is costed by the
 		// caller.

@@ -10,14 +10,16 @@ import (
 )
 
 // sharedTables holds the per-DTD memo tables shared by every Evaluator of a
-// Pool: the symbol table, the required-weight table (indexed by label ID,
-// NaN = no entry), the compiled alignment automata, and the interned label
-// sets of mixed models. All are built once at Pool construction and are
-// read-only afterwards (the Table extends itself internally and is safe
-// for concurrent use), so pooled evaluators consult them without locking.
+// Pool: the symbol table, the required weights of the declared elements,
+// the compiled alignment automata, and the interned label sets of mixed
+// models. Each per-DTD table is sized by the DTD, not by the symbol table
+// all the DTDs of a source share. All are built once at Pool construction
+// and are read-only afterwards (the Table extends itself internally and is
+// safe for concurrent use), so pooled evaluators consult them without
+// locking.
 type sharedTables struct {
 	tab   *intern.Table
-	req   []float64
+	req   map[string]float64
 	nfas  map[*dtd.Content]*nfa
 	mixed map[*dtd.Content]*labelSet
 }
@@ -60,8 +62,12 @@ func NewPool(d *dtd.DTD, cfg Config) *Pool {
 func NewPoolWithTable(d *dtd.DTD, cfg Config, tab *intern.Table) *Pool {
 	intern.InternDTD(tab, d)
 	seed := newEvaluator(d, cfg, tab)
-	for name, model := range d.Elements {
-		seed.requiredWeightName(name)
+	// Declaration order, not map order: on a cycle of required elements the
+	// weights depend on where the computation enters the cycle, and every
+	// pool built from the same DTD must score alike.
+	for _, name := range d.Declared() {
+		model := d.Elements[name]
+		seed.requiredWeight(name)
 		if isElementContent(model) {
 			seed.compiled(model)
 		} else if model != nil && model.IsMixed() {

@@ -3,10 +3,12 @@ package similarity
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"dtdevolve/internal/dtd"
+	"dtdevolve/internal/intern"
 	"dtdevolve/internal/xmltree"
 )
 
@@ -122,5 +124,69 @@ func TestPoolConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestPoolRequiredWeightsDeterministic: on a cycle of required elements a
+// required weight depends on where its computation enters the cycle, so a
+// pool computes them in declaration order. Every pool built from the DTD
+// then scores <root/> alike, and as a fresh standalone evaluator does,
+// whose computation enters the cycle from the root too.
+func TestPoolRequiredWeightsDeterministic(t *testing.T) {
+	d := dtd.MustParse(`
+<!ELEMENT root (a)>
+<!ELEMENT a (b, c)>
+<!ELEMENT b (a)>
+<!ELEMENT c (b)>`)
+	d.Name = "root"
+	root := parseDoc(t, `<root/>`)
+	want := NewEvaluator(d, DefaultConfig()).GlobalSim(root)
+	for i := 0; i < 200; i++ {
+		if got := NewPool(d, DefaultConfig()).GlobalSim(root); got != want {
+			t.Fatalf("pool %d scores <root/> %v, a standalone evaluator %v", i, got, want)
+		}
+	}
+}
+
+// TestPoolBytesIndependentOfTable pins that a pool's tables are sized by
+// its DTD: building one on a table that already holds 100,000 other symbols
+// allocates within 10% of building it on a table holding only the DTD's
+// labels.
+func TestPoolBytesIndependentOfTable(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	d := dtd.MustParse(`
+<!ELEMENT doc (head, sec+, back?)>
+<!ELEMENT head (title, author*)>
+<!ELEMENT sec (title, (para | list)*, sec*)>
+<!ELEMENT list (item+)>
+<!ELEMENT back (note | ref)*>
+<!ELEMENT title (#PCDATA)>
+<!ELEMENT author (#PCDATA)>
+<!ELEMENT para (#PCDATA | em)*>`)
+	filler := make([]string, 100000)
+	for i := range filler {
+		filler[i] = fmt.Sprintf("filler%06d", i)
+	}
+	small, big := intern.NewTable(), intern.NewTable()
+	big.InternAll(filler)
+	intern.InternDTD(small, d)
+	intern.InternDTD(big, d)
+	perPool := func(tab *intern.Table) float64 {
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			NewPoolWithTable(d, DefaultConfig(), tab)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	perPool(small) // warm up
+	a, b := perPool(small), perPool(big)
+	t.Logf("bytes per pool: %.0f on a fresh table, %.0f on a 100,000-symbol table", a, b)
+	if b > 1.1*a {
+		t.Errorf("a pool on a 100,000-symbol table allocates %.0f bytes, %.2fx the %.0f on a fresh table; want within 10%%", b, b/a, a)
 	}
 }

@@ -42,9 +42,6 @@ import (
 	"dtdevolve/internal/xmltree"
 )
 
-// nan marks unset entries of ID-indexed float64 memo slices.
-var nan = math.NaN()
-
 // Config holds the parameters of the measure. The zero value is not valid;
 // use DefaultConfig (or fill every field).
 type Config struct {
@@ -149,12 +146,10 @@ type Evaluator struct {
 	// shared holds precompiled read-only tables when the evaluator comes
 	// from a Pool; nil for a standalone evaluator.
 	shared *sharedTables
-	// reqMemo caches required weights, indexed by label ID; NaN = unset.
-	// visiting is the cycle-detection set of the same computation. Both
-	// grow on demand and self-clean (visiting follows stack discipline).
-	reqMemo  []float64
-	visiting []bool
-	nfaMemo  map[*dtd.Content]*nfa
+	// reqMemo caches the required weights of declared elements by name,
+	// at most one entry per declaration; it is made on first use.
+	reqMemo map[string]float64
+	nfaMemo map[*dtd.Content]*nfa
 	// mixedMemo caches the sorted, interned label set of mixed models.
 	mixedMemo map[*dtd.Content]*labelSet
 	// triMemo caches global triples per (element node, model): a model may
@@ -580,52 +575,33 @@ func (e *Evaluator) weightedSize(n *xmltree.Node) float64 {
 	return size + e.cfg.Decay*sub
 }
 
-// requiredWeightName is the entry point for required weights keyed by a
-// name alone (pool precompilation, tests): it interns the name and
-// delegates to the ID-indexed computation.
-func (e *Evaluator) requiredWeightName(name string) float64 {
-	return e.requiredWeight(name, e.tab.Intern(name))
-}
-
 // requiredWeight is the minus cost of skipping a mandatory reference to the
-// element called name (with interned ID id): 1 for the element itself plus
-// the decayed required weight of its own declaration. Cycles in the DTD
-// contribute once, tracked by the ID-indexed visiting stack.
-func (e *Evaluator) requiredWeight(name string, id int32) float64 {
-	if e.shared != nil && int(id) < len(e.shared.req) {
-		if w := e.shared.req[id]; w == w { // not NaN: precompiled
+// element called name: 1 for the element itself plus the decayed required
+// weight of its own declaration. Cycles in the DTD contribute once: while
+// an element's weight is computed its memo entry holds 1, the cost a
+// reference back to it charges. The weight memoized for an element on a
+// cycle therefore depends on where the computation entered the cycle,
+// which is why a Pool precompiles in declaration order.
+func (e *Evaluator) requiredWeight(name string) float64 {
+	if e.shared != nil {
+		if w, ok := e.shared.req[name]; ok {
 			return w
 		}
 	}
-	if int(id) < len(e.reqMemo) {
-		if w := e.reqMemo[id]; w == w {
-			return w
-		}
-	}
-	if int(id) < len(e.visiting) && e.visiting[id] {
-		return 1
+	if w, ok := e.reqMemo[name]; ok {
+		return w
 	}
 	decl, ok := e.d.Elements[name]
 	if !ok {
 		return 1
 	}
-	e.growReqMemo(id)
-	e.visiting[id] = true
+	if e.reqMemo == nil {
+		e.reqMemo = make(map[string]float64, len(e.d.Elements))
+	}
+	e.reqMemo[name] = 1
 	w := 1 + e.cfg.Decay*e.requiredModelWeight(decl)
-	e.visiting[id] = false
-	e.reqMemo[id] = w
+	e.reqMemo[name] = w
 	return w
-}
-
-// growReqMemo extends the ID-indexed required-weight tables to cover id,
-// filling new memo entries with NaN ("unset").
-func (e *Evaluator) growReqMemo(id int32) {
-	for int(id) >= len(e.reqMemo) {
-		e.reqMemo = append(e.reqMemo, nan)
-	}
-	for int(id) >= len(e.visiting) {
-		e.visiting = append(e.visiting, false)
-	}
 }
 
 // requiredModelWeight is the minimal mandatory weight of a content model:
@@ -633,7 +609,7 @@ func (e *Evaluator) growReqMemo(id int32) {
 func (e *Evaluator) requiredModelWeight(c *dtd.Content) float64 {
 	switch c.Kind {
 	case dtd.Name:
-		return e.requiredWeight(c.Name, e.tab.Intern(c.Name))
+		return e.requiredWeight(c.Name)
 	case dtd.Opt, dtd.Star, dtd.Empty, dtd.Any, dtd.PCDATA:
 		return 0
 	case dtd.Plus:

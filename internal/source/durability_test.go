@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/wal"
 	"dtdevolve/internal/wal/faultfs"
 	"dtdevolve/internal/xmltree"
@@ -609,4 +610,47 @@ func recoverFrom(t *testing.T, dir string) *Source {
 	}
 	t.Cleanup(func() { s.CloseWAL() })
 	return s
+}
+
+// TestRecoverKeepsAttributeDefaults: the journal and the checkpoint carry
+// DTDs as printed text, so an attribute default holding a backslash or a
+// quote must survive print → parse unchanged through both.
+func TestRecoverKeepsAttributeDefaults(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(t.TempDir(), "checkpoint.json")
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := New(testConfig())
+	live.AttachWAL(w)
+	mk := func(root string) *dtd.DTD {
+		d := dtd.MustParse(`<!ELEMENT ` + root + ` (#PCDATA)>
+<!ATTLIST ` + root + ` path CDATA "C:\dir\x" quote CDATA 'say "hi"' fixed CDATA #FIXED "it's \">`)
+		d.Name = root
+		return d
+	}
+	live.AddDTD("snap", mk("snap"))
+	if err := live.Checkpoint(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	live.AddDTD("tail", mk("tail"))
+	if err := live.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recovered, _, err := Recover(testConfig(), snap, dir, wal.Options{Sync: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.CloseWAL()
+	for _, name := range []string{"snap", "tail"} {
+		got, want := recovered.DTD(name).Attlists[name], mk(name).Attlists[name]
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: recovered attribute list %+v, want %+v", name, got, want)
+		}
+	}
 }
