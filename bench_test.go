@@ -19,6 +19,7 @@ import (
 	"dtdevolve/internal/evolve"
 	"dtdevolve/internal/experiments"
 	"dtdevolve/internal/gen"
+	"dtdevolve/internal/intern"
 	"dtdevolve/internal/mine"
 	"dtdevolve/internal/record"
 	"dtdevolve/internal/similarity"
@@ -264,6 +265,28 @@ func wideLogDocument(b *testing.B, n int) *dtdevolve.Document {
 func BenchmarkRecordWideDocument(b *testing.B) {
 	doc := wideLogDocument(b, 1200)
 	rec := record.New(eventLogDTD)
+	rec.Record(doc) // create the stat rows
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec.Record(doc)
+	}
+}
+
+// BenchmarkRecordLogDocument tree-records logDocument (800 events, the
+// shape durable-stream journals), stamped first with intern.InternDocument
+// as WAL replay of a doc record does: the recording cost recovery pays per
+// replayed document. Gated at 0 allocs/op.
+func BenchmarkRecordLogDocument(b *testing.B) {
+	d := dtd.MustParse(eventLogDTDSrc)
+	d.Name = "log"
+	doc, err := dtdevolve.ParseDocumentString(logDocument())
+	if err != nil {
+		b.Fatal(err)
+	}
+	tab := intern.NewTable()
+	rec := record.NewWithTable(d, tab)
+	intern.InternDocument(tab, doc.Root)
 	rec.Record(doc) // create the stat rows
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -34,6 +34,7 @@
 package record
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -217,12 +218,20 @@ type elemStats struct {
 	// seqs and groups are keyed by the packed bytes of their sorted ID set.
 	seqs   map[string]*seqAgg
 	groups map[string]*groupAgg
-	// Aggregates over all instances, keyed by label ID.
-	present  map[int32]int
-	repeat   map[int32]int
-	posSum   map[int32]float64
-	posCount map[int32]int
-	pairs    map[pairKey]pairAgg
+	// Aggregates over all instances: kids per child label, pairs per
+	// unordered label pair. The maps index the rows, so an instance costs
+	// one map operation per label and per pair.
+	kids     map[int32]int32
+	kidRows  []kidAgg
+	pairs    map[pairKey]int32
+	pairRows []pairAgg
+	// validDoc is the last document (Recorder.docs+1 while it records)
+	// counted in docsWithValid; tree recorder only.
+	validDoc int
+	// size counts the instances recorded here, nested ones included; the
+	// streaming recorder merges the smaller of two nil-records into the
+	// larger by it.
+	size int
 }
 
 type labelAgg struct {
@@ -241,28 +250,64 @@ type groupAgg struct {
 	count int
 }
 
+// kidAgg aggregates one child label over all instances: in how many it is
+// present and repeated, and the sum and count of its first positions.
+type kidAgg struct {
+	id       int32
+	present  int
+	repeat   int
+	posCount int
+	posSum   float64
+}
+
 // pairKey identifies an unordered label pair; a < b.
 type pairKey struct {
 	a, b int32
 }
 
 type pairAgg struct {
+	pairKey
 	count       int
 	interleaved int
 }
 
 func newElemStats(name string) *elemStats {
 	return &elemStats{
-		name:     name,
-		labels:   make(map[int32]*labelAgg),
-		seqs:     make(map[string]*seqAgg),
-		groups:   make(map[string]*groupAgg),
-		present:  make(map[int32]int),
-		repeat:   make(map[int32]int),
-		posSum:   make(map[int32]float64),
-		posCount: make(map[int32]int),
-		pairs:    make(map[pairKey]pairAgg),
+		name:   name,
+		labels: make(map[int32]*labelAgg),
+		seqs:   make(map[string]*seqAgg),
+		groups: make(map[string]*groupAgg),
+		kids:   make(map[int32]int32),
+		pairs:  make(map[pairKey]int32),
 	}
+}
+
+// kid returns the all-instance aggregate row of child label id.
+// dtdvet:noalloc
+func (es *elemStats) kid(id int32) *kidAgg {
+	i, ok := es.kids[id]
+	if !ok {
+		i = int32(len(es.kidRows))
+		es.kidRows = append(es.kidRows, kidAgg{id: id})
+		es.kids[id] = i
+	}
+	return &es.kidRows[i]
+}
+
+// pair returns the aggregate row of the unordered label pair {x, y}.
+// dtdvet:noalloc
+func (es *elemStats) pair(x, y int32) *pairAgg {
+	k := pairKey{a: x, b: y}
+	if y < x {
+		k = pairKey{a: y, b: x}
+	}
+	i, ok := es.pairs[k]
+	if !ok {
+		i = int32(len(es.pairRows))
+		es.pairRows = append(es.pairRows, pairAgg{pairKey: k})
+		es.pairs[k] = i
+	}
+	return &es.pairRows[i]
 }
 
 func (es *elemStats) invalidityRatio() float64 {
@@ -286,12 +331,9 @@ type Recorder struct {
 	// invalidMass is Σ over documents of (#non-valid elements / #elements),
 	// the numerator of the paper's check-phase trigger condition.
 	invalidMass float64
-	// declared caches, per content model, the set of its label IDs; used to
+	// declared caches, per content model, its label IDs sorted; used to
 	// detect plus elements without re-walking the model per instance.
-	declared map[*dtd.Content]map[int32]bool
-	// validSeen collects, per document, the IDs of elements with at least
-	// one valid instance; reused (cleared) across documents.
-	validSeen map[int32]bool
+	declared map[*dtd.Content][]int32
 	// scratch is a free list of per-instance buffers: recordInstance
 	// recurses into plus elements, and each level needs live buffers.
 	scratch []*recScratch
@@ -309,12 +351,11 @@ func New(d *dtd.DTD) *Recorder {
 func NewWithTable(d *dtd.DTD, tab *intern.Table) *Recorder {
 	intern.InternDTD(tab, d)
 	return &Recorder{
-		d:         d,
-		v:         validate.New(d),
-		tab:       tab,
-		elements:  make(map[int32]*elemStats),
-		declared:  make(map[*dtd.Content]map[int32]bool),
-		validSeen: make(map[int32]bool),
+		d:        d,
+		v:        validate.New(d),
+		tab:      tab,
+		elements: make(map[int32]*elemStats),
+		declared: make(map[*dtd.Content][]int32),
 	}
 }
 
@@ -371,11 +412,7 @@ func (r *Recorder) RecordElement(root *xmltree.Node) DocResult {
 		return DocResult{}
 	}
 	res := DocResult{}
-	clear(r.validSeen)
 	r.walk(root, &res)
-	for id := range r.validSeen {
-		r.elements[id].docsWithValid++
-	}
 	r.docs++
 	r.invalidMass += res.InvalidRatio()
 	return res
@@ -386,10 +423,13 @@ func (r *Recorder) walk(n *xmltree.Node, res *DocResult) {
 	res.Elements++
 	decl, ok := r.d.Elements[n.Name]
 	if ok {
-		id := r.id(n)
-		stats := r.statsFor(id, n.Name)
+		stats := r.statsFor(r.id(n), n.Name)
 		if r.recordInstance(stats, n, decl) {
-			r.validSeen[id] = true
+			// Stamped with the document, so docsWithValid counts it once.
+			if doc := r.docs + 1; stats.validDoc != doc {
+				stats.validDoc = doc
+				stats.docsWithValid++
+			}
 		} else {
 			res.Invalid++
 		}
@@ -406,40 +446,20 @@ func (r *Recorder) walk(n *xmltree.Node, res *DocResult) {
 	}
 }
 
-// recScratch is one reusable set of per-instance buffers. The maps are
-// cleared on reuse (retaining buckets); the slices are grow-only.
+// recScratch is one reusable set of per-instance buffers.
 type recScratch struct {
-	counts map[int32]int
-	first  map[int32]int
-	last   map[int32]int
-	order  []int32 // label IDs in first-occurrence order
-	set    []int32 // label IDs sorted ascending (the instance's αβ)
-	rep    []repEntry
-	key    []byte
-}
-
-type repEntry struct {
-	count int
-	id    int32
+	kids tally
+	cl   closeScratch
 }
 
 func (r *Recorder) getScratch() *recScratch {
 	if n := len(r.scratch); n > 0 {
 		sc := r.scratch[n-1]
 		r.scratch = r.scratch[:n-1]
-		clear(sc.counts)
-		clear(sc.first)
-		clear(sc.last)
-		sc.order = sc.order[:0]
-		sc.set = sc.set[:0]
-		sc.rep = sc.rep[:0]
+		sc.kids.reset()
 		return sc
 	}
-	return &recScratch{
-		counts: make(map[int32]int),
-		first:  make(map[int32]int),
-		last:   make(map[int32]int),
-	}
+	return &recScratch{}
 }
 
 func (r *Recorder) putScratch(sc *recScratch) {
@@ -463,164 +483,72 @@ func (r *Recorder) recordInstance(stats *elemStats, n *xmltree.Node, decl *dtd.C
 	sc := r.getScratch()
 	defer r.putScratch(sc)
 
-	// One pass over the element children: occurrence counts, first/last
-	// positions, first-occurrence order.
+	// One pass over the element children: occurrence counts and first/last
+	// positions, per label in first-occurrence order.
+	t := &sc.kids
 	idx := 0
 	for _, c := range n.Children {
 		if c.Kind != xmltree.Element {
 			continue
 		}
 		id := r.id(c)
-		if cnt, seen := sc.counts[id]; seen {
-			sc.counts[id] = cnt + 1
+		if i := t.find(id); i >= 0 {
+			s := &t.slots[i]
+			s.count++
+			s.last = idx
 		} else {
-			sc.counts[id] = 1
-			sc.first[id] = idx
-			sc.order = append(sc.order, id)
-			stats.posSum[id] += float64(idx)
-			stats.posCount[id]++
+			t.push(id, idx)
 		}
-		sc.last[id] = idx
 		idx++
 	}
-
-	// All-instance aggregates.
-	if n.HasText() {
-		stats.textInstances++
-	}
-	for _, id := range sc.order {
-		stats.present[id]++
-		if sc.counts[id] > 1 {
-			stats.repeat[id]++
-		}
-	}
-	for i := 0; i < len(sc.order); i++ {
-		for j := i + 1; j < len(sc.order); j++ {
-			x, y := sc.order[i], sc.order[j]
-			k := pairKey{a: x, b: y}
-			if y < x {
-				k = pairKey{a: y, b: x}
-			}
-			pa := stats.pairs[k]
-			pa.count++
-			// Interleaved: neither tag's occurrences entirely precede the
-			// other's.
-			if sc.first[x] < sc.last[y] && sc.first[y] < sc.last[x] {
-				pa.interleaved++
-			}
-			stats.pairs[k] = pa
-		}
-	}
-
 	if decl != nil && r.v.LocalValid(n, decl) {
-		stats.valid++
+		mergeInstance(nil, stats, t, nil, n.HasText(), true, nil, false)
 		return true
 	}
-	stats.invalid++
-
-	// The sequence (αβ of the instance): the sorted set of child label IDs.
-	sc.set = append(sc.set[:0], sc.order...)
-	sortIDs(sc.set)
-	sc.key = packIDs(sc.key, sc.set)
-	if seq, ok := stats.seqs[string(sc.key)]; ok {
-		seq.count++
-	} else {
-		stats.seqs[string(sc.key)] = &seqAgg{ids: append([]int32(nil), sc.set...), count: 1}
-	}
-
-	// Labels of the non-valid instance; plus elements recurse.
-	declared := r.declaredSet(decl)
-	for _, id := range sc.set {
-		la, ok := stats.labels[id]
-		if !ok {
-			la = &labelAgg{}
-			stats.labels[id] = la
+	computeClose(t, &sc.cl)
+	mergeInstance(nil, stats, t, &sc.cl, n.HasText(), false, r.declaredSet(decl), false)
+	// Plus elements: record the structure of their instances so a
+	// declaration can be deduced for them (paper §3.2, Example 5).
+	for _, c := range n.Children {
+		if c.Kind != xmltree.Element {
+			continue
 		}
-		la.invalidWith++
-		if sc.counts[id] > 1 {
-			la.repeated++
+		s := &t.slots[t.find(r.id(c))]
+		if s.plus == nil {
+			continue
 		}
-		// Plus element: record the structure of its instances so a
-		// declaration can be deduced for it (paper §3.2, Example 5).
-		if !declared[id] {
-			if la.child == nil {
-				la.child = newElemStats(r.tab.Name(id))
-			}
-			for _, c := range n.Children {
-				if c.Kind == xmltree.Element && r.id(c) == id {
-					r.recordInstance(la.child, c, nil)
-				}
-			}
+		if s.plus.child == nil {
+			s.plus.child = newElemStats(r.tab.Name(s.id))
 		}
-	}
-
-	// Groups: for each repetition count m > 1, the set of labels repeated
-	// exactly m times forms a group (when it has at least two members).
-	// Collecting from the sorted set and stably ordering by count keeps
-	// each group's IDs ascending.
-	for _, id := range sc.set {
-		if c := sc.counts[id]; c > 1 {
-			sc.rep = append(sc.rep, repEntry{count: c, id: id})
-		}
-	}
-	sortRepByCount(sc.rep)
-	for i := 0; i < len(sc.rep); {
-		j := i
-		for j < len(sc.rep) && sc.rep[j].count == sc.rep[i].count {
-			j++
-		}
-		if j-i >= 2 {
-			sc.set = sc.set[:0]
-			for k := i; k < j; k++ {
-				sc.set = append(sc.set, sc.rep[k].id)
-			}
-			sc.key = packIDs(sc.key, sc.set)
-			if g, ok := stats.groups[string(sc.key)]; ok {
-				g.count++
-			} else {
-				stats.groups[string(sc.key)] = &groupAgg{ids: append([]int32(nil), sc.set...), count: 1}
-			}
-		}
-		i = j
+		r.recordInstance(s.plus.child, c, nil)
 	}
 	return false
 }
 
-// sortIDs is an insertion sort: instance label sets are small, and this
-// avoids any sorting-machinery allocations on the hot path.
-func sortIDs(ids []int32) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-// sortRepByCount stably orders entries by repetition count, preserving the
-// ascending-ID order of equal counts.
-func sortRepByCount(rep []repEntry) {
-	for i := 1; i < len(rep); i++ {
-		for j := i; j > 0 && rep[j].count < rep[j-1].count; j-- {
-			rep[j], rep[j-1] = rep[j-1], rep[j]
-		}
-	}
-}
-
-// declaredSet returns the cached set of label IDs referenced by decl; nil
+// declaredSet returns the cached, sorted label IDs referenced by decl; nil
 // (matching nothing) for a nil model.
-func (r *Recorder) declaredSet(decl *dtd.Content) map[int32]bool {
+func (r *Recorder) declaredSet(decl *dtd.Content) []int32 {
 	if decl == nil {
 		return nil
 	}
 	if s, ok := r.declared[decl]; ok {
 		return s
 	}
-	s := make(map[int32]bool)
-	for _, l := range decl.Labels() {
-		s[r.tab.Intern(l)] = true
-	}
+	s := internLabels(r.tab, decl)
 	r.declared[decl] = s
 	return s
+}
+
+// internLabels returns the interned IDs of the labels decl references,
+// sorted.
+func internLabels(tab *intern.Table, decl *dtd.Content) []int32 {
+	labels := decl.Labels()
+	ids := make([]int32, len(labels))
+	for i, l := range labels {
+		ids[i] = tab.Intern(l)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // statsFor returns (creating if needed) the statistics entry for a declared
@@ -696,7 +624,7 @@ func (r *Recorder) Reset() {
 func (r *Recorder) SetDTD(d *dtd.DTD) {
 	r.d = d
 	r.v = validate.New(d)
-	r.declared = make(map[*dtd.Content]map[int32]bool)
+	r.declared = make(map[*dtd.Content][]int32)
 	intern.InternDTD(r.tab, d)
 	r.Reset()
 }
@@ -753,20 +681,17 @@ func (r *Recorder) materialize(es *elemStats) *ElementStats {
 		tags := r.sortedNames(g.ids)
 		out.Groups[mine.Key(tags)] = &GroupStats{Tags: tags, Count: g.count}
 	}
-	for id, c := range es.present {
-		out.PresentCount[r.tab.Name(id)] = c
+	for _, k := range es.kidRows {
+		name := r.tab.Name(k.id)
+		out.PresentCount[name] = k.present
+		if k.repeat > 0 {
+			out.RepeatCount[name] = k.repeat
+		}
+		out.PosSum[name] = k.posSum
+		out.PosCount[name] = k.posCount
 	}
-	for id, c := range es.repeat {
-		out.RepeatCount[r.tab.Name(id)] = c
-	}
-	for id, s := range es.posSum {
-		out.PosSum[r.tab.Name(id)] = s
-	}
-	for id, c := range es.posCount {
-		out.PosCount[r.tab.Name(id)] = c
-	}
-	for k, pa := range es.pairs {
-		key := mine.Key([]string{r.tab.Name(k.a), r.tab.Name(k.b)})
+	for _, pa := range es.pairRows {
+		key := mine.Key([]string{r.tab.Name(pa.a), r.tab.Name(pa.b)})
 		out.PairCount[key] = pa.count
 		if pa.interleaved > 0 {
 			out.InterleavedCount[key] = pa.interleaved
@@ -813,29 +738,25 @@ func (r *Recorder) internalize(name string, s *ElementStats) *elemStats {
 		es.groups[string(packIDs(nil, ids))] = &groupAgg{ids: ids, count: g.Count}
 	}
 	for tag, c := range s.PresentCount {
-		es.present[r.tab.Intern(tag)] = c
+		es.kid(r.tab.Intern(tag)).present = c
 	}
 	for tag, c := range s.RepeatCount {
-		es.repeat[r.tab.Intern(tag)] = c
+		es.kid(r.tab.Intern(tag)).repeat = c
 	}
 	for tag, sum := range s.PosSum {
-		es.posSum[r.tab.Intern(tag)] = sum
+		es.kid(r.tab.Intern(tag)).posSum = sum
 	}
 	for tag, c := range s.PosCount {
-		es.posCount[r.tab.Intern(tag)] = c
+		es.kid(r.tab.Intern(tag)).posCount = c
 	}
 	for key, c := range s.PairCount {
-		if k, ok := r.pairKeyOf(key); ok {
-			pa := es.pairs[k]
-			pa.count = c
-			es.pairs[k] = pa
+		if a, b, ok := r.pairOf(key); ok {
+			es.pair(a, b).count = c
 		}
 	}
 	for key, c := range s.InterleavedCount {
-		if k, ok := r.pairKeyOf(key); ok {
-			pa := es.pairs[k]
-			pa.interleaved = c
-			es.pairs[k] = pa
+		if a, b, ok := r.pairOf(key); ok {
+			es.pair(a, b).interleaved = c
 		}
 	}
 	return es
@@ -847,20 +768,16 @@ func (r *Recorder) internIDs(tags []string) []int32 {
 	for i, t := range tags {
 		ids[i] = r.tab.Intern(t)
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	return ids
 }
 
-// pairKeyOf parses a canonical pair key (mine.Key of two tags) back into an
-// ID pair.
-func (r *Recorder) pairKeyOf(key string) (pairKey, bool) {
+// pairOf parses a canonical pair key (mine.Key of two tags) back into the
+// pair's IDs.
+func (r *Recorder) pairOf(key string) (a, b int32, ok bool) {
 	sep := strings.IndexByte(key, 0)
 	if sep < 0 {
-		return pairKey{}, false
+		return 0, 0, false
 	}
-	a, b := r.tab.Intern(key[:sep]), r.tab.Intern(key[sep+1:])
-	if b < a {
-		a, b = b, a
-	}
-	return pairKey{a: a, b: b}, true
+	return r.tab.Intern(key[:sep]), r.tab.Intern(key[sep+1:]), true
 }

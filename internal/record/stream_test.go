@@ -229,6 +229,23 @@ func TestStreamRecorderAbortViaBegin(t *testing.T) {
 	checkRecorders(t, "after abort", tree, stream)
 }
 
+// TestRecLaneCacheSizedByDTD streams documents full of labels the lane's
+// DTD does not declare: the lane caches resolutions of declared elements
+// only, so stray labels cannot grow it.
+func TestRecLaneCacheSizedByDTD(t *testing.T) {
+	d := dtd.MustParse(paperExample2DTD)
+	tab := intern.NewTable()
+	sr := NewStreamRecorder(tab)
+	sr.SetLanes([]*dtd.DTD{d})
+	vs := []*validate.Validator{validate.New(d)}
+	for i := 0; i < 50; i++ {
+		streamDoc(sr, vs, parseDoc(t, fmt.Sprintf(`<a><b/><c/><x%d><y%d/></x%d></a>`, i, i, i)), -1)
+	}
+	if n := len(sr.Lane(0).decls); n > len(d.Elements) {
+		t.Errorf("lane caches %d resolutions, its DTD declares %d elements", n, len(d.Elements))
+	}
+}
+
 func countNodes(n *xmltree.Node) int {
 	c := 1
 	for _, ch := range n.Children {
@@ -309,9 +326,20 @@ func eventLog(d *dtd.DTD, n int) *xmltree.Document {
 // chainDTDSrc admits arbitrarily deep <s><t>x</t><s>…</s></s> chains.
 const chainDTDSrc = `<!ELEMENT s (t, s?)> <!ELEMENT t (#PCDATA)>`
 
+// nilRecords counts the slots of f's tally that hold a nil-record.
+func nilRecords(f *recFrame) int {
+	n := 0
+	for _, s := range f.kids.slots {
+		if s.nilRec != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TestStreamRecorderSkipsUnreadNilRecords pins the nil-record rule on
 // valid, fully declared documents: no lane lacks a label of any element,
-// so no open element may hold a childNil entry after any End — building
+// so no open element may hold a nil-record after any End — building
 // them is what made streaming recording O(elements × depth). The
 // committed statistics must still equal the tree recorder's.
 func TestStreamRecorderSkipsUnreadNilRecords(t *testing.T) {
@@ -333,8 +361,8 @@ func TestStreamRecorderSkipsUnreadNilRecords(t *testing.T) {
 		streamCut(sr, vs, tc.doc, nil, false, func() {
 			ends++
 			for i := 0; i < sr.n && !failed; i++ {
-				if f := &sr.frames[i]; len(f.childNil) > 0 {
-					t.Errorf("%s: after End %d, open <%s> holds %d nil-records no lane reads", tc.name, ends, f.name, len(f.childNil))
+				if f := &sr.frames[i]; nilRecords(f) > 0 {
+					t.Errorf("%s: after End %d, open <%s> holds %d nil-records no lane reads", tc.name, ends, f.name, nilRecords(f))
 					failed = true
 				}
 			}

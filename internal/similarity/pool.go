@@ -62,18 +62,7 @@ func NewPool(d *dtd.DTD, cfg Config) *Pool {
 func NewPoolWithTable(d *dtd.DTD, cfg Config, tab *intern.Table) *Pool {
 	intern.InternDTD(tab, d)
 	seed := newEvaluator(d, cfg, tab)
-	// Declaration order, not map order: on a cycle of required elements the
-	// weights depend on where the computation enters the cycle, and every
-	// pool built from the same DTD must score alike.
-	for _, name := range d.Declared() {
-		model := d.Elements[name]
-		seed.requiredWeight(name)
-		if isElementContent(model) {
-			seed.compiled(model)
-		} else if model != nil && model.IsMixed() {
-			seed.mixedSet(model)
-		}
-	}
+	seed.precompile()
 	shared := &sharedTables{
 		tab:   tab,
 		req:   seed.reqMemo,

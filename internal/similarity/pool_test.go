@@ -148,6 +148,33 @@ func TestPoolRequiredWeightsDeterministic(t *testing.T) {
 	}
 }
 
+// TestEvaluatorScoresLikePool pins a standalone evaluator to a pool's
+// scores on a cycle of required elements, whatever it scored before: a
+// fresh evaluator scores <c/> as a pool does, and <root/> the same fresh
+// and after scoring <c/>.
+func TestEvaluatorScoresLikePool(t *testing.T) {
+	d := dtd.MustParse(`
+<!ELEMENT root (a)>
+<!ELEMENT a (b, c)>
+<!ELEMENT b (a)>
+<!ELEMENT c (b)>`)
+	d.Name = "root"
+	c, root := parseDoc(t, `<c/>`), parseDoc(t, `<root/>`)
+	pool := NewPool(d, DefaultConfig())
+	if got, want := NewEvaluator(d, DefaultConfig()).GlobalSim(c), pool.GlobalSim(c); got != want {
+		t.Errorf("a fresh evaluator scores <c/> %v, a pool %v", got, want)
+	}
+	fresh := NewEvaluator(d, DefaultConfig()).GlobalSim(root)
+	e := NewEvaluator(d, DefaultConfig())
+	e.GlobalSim(c)
+	if after := e.GlobalSim(root); after != fresh {
+		t.Errorf("<root/> scores %v fresh but %v after scoring <c/>", fresh, after)
+	}
+	if want := pool.GlobalSim(root); fresh != want {
+		t.Errorf("an evaluator scores <root/> %v, a pool %v", fresh, want)
+	}
+}
+
 // TestPoolBytesIndependentOfTable pins that a pool's tables are sized by
 // its DTD: building one on a table that already holds 100,000 other symbols
 // allocates within 10% of building it on a table holding only the DTD's

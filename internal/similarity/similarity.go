@@ -188,12 +188,15 @@ type labelSet struct {
 }
 
 // NewEvaluator returns an Evaluator for d with the given configuration,
-// interning d's labels into a private symbol table. To share one table
-// across evaluators (and with recorders), use a Pool.
+// interning d's labels into a private symbol table. It precompiles what a
+// Pool does, in the same order, so it scores exactly like a pool of d. To
+// share one table across evaluators (and with recorders), use a Pool.
 func NewEvaluator(d *dtd.DTD, cfg Config) *Evaluator {
 	tab := intern.NewTable()
 	intern.InternDTD(tab, d)
-	return newEvaluator(d, cfg, tab)
+	e := newEvaluator(d, cfg, tab)
+	e.precompile()
+	return e
 }
 
 // newEvaluator builds a bare evaluator on an existing table; the caller is
@@ -575,13 +578,30 @@ func (e *Evaluator) weightedSize(n *xmltree.Node) float64 {
 	return size + e.cfg.Decay*sub
 }
 
+// precompile memoizes the required weight, alignment automaton or mixed
+// label set of every declaration, in declaration order rather than map
+// order: on a cycle of required elements the weights depend on where the
+// computation enters the cycle, so every evaluator of the same DTD must
+// enter it alike.
+func (e *Evaluator) precompile() {
+	for _, name := range e.d.Declared() {
+		model := e.d.Elements[name]
+		e.requiredWeight(name)
+		if isElementContent(model) {
+			e.compiled(model)
+		} else if model != nil && model.IsMixed() {
+			e.mixedSet(model)
+		}
+	}
+}
+
 // requiredWeight is the minus cost of skipping a mandatory reference to the
 // element called name: 1 for the element itself plus the decayed required
 // weight of its own declaration. Cycles in the DTD contribute once: while
 // an element's weight is computed its memo entry holds 1, the cost a
 // reference back to it charges. The weight memoized for an element on a
 // cycle therefore depends on where the computation entered the cycle,
-// which is why a Pool precompiles in declaration order.
+// which is why evaluators precompile in declaration order.
 func (e *Evaluator) requiredWeight(name string) float64 {
 	if e.shared != nil {
 		if w, ok := e.shared.req[name]; ok {

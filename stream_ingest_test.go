@@ -215,8 +215,9 @@ func chainDocument(depth int) string {
 }
 
 // perElement is the best of five timings of AddStream(doc), in nanoseconds
-// per element; each timing repeats the ingest for at least 20ms.
-func perElement(t *testing.T, src *source.Source, doc string, elements int) float64 {
+// per element; each timing repeats the ingest for at least 20ms. The
+// document must classify, with similarity 1 when valid is set.
+func perElement(t *testing.T, src *source.Source, doc string, elements int, valid bool) float64 {
 	t.Helper()
 	rd := strings.NewReader(doc)
 	best := -1.0
@@ -229,7 +230,7 @@ func perElement(t *testing.T, src *source.Source, doc string, elements int) floa
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !res.Classified || res.Similarity != 1.0 {
+			if !res.Classified || valid && res.Similarity != 1.0 {
 				t.Fatalf("chain misclassified: %+v", res)
 			}
 			calls++
@@ -252,12 +253,82 @@ func TestStreamIngestDepthLinear(t *testing.T) {
 	src := source.New(source.DefaultConfig())
 	src.AddDTD("s", d)
 	shallow, deep := chainDocument(100), chainDocument(1000)
-	perElement(t, src, shallow, 200) // warm up
-	a, b := perElement(t, src, shallow, 200), perElement(t, src, deep, 2000)
+	perElement(t, src, shallow, 200, true) // warm up
+	a, b := perElement(t, src, shallow, 200, true), perElement(t, src, deep, 2000, true)
 	ratio := b / a
 	t.Logf("per element: %.0fns at depth 100, %.0fns at depth 1,000 (ratio %.2f)", a, b, ratio)
 	if ratio >= 3 {
 		t.Errorf("per-element cost grows %.1fx from depth 100 to 1,000, want < 3", ratio)
+	}
+}
+
+// plusChainDTDSrc declares a with the one child b, so every x of
+// <a><x><x>…</x></x></a> is a plus element nested in the one above it.
+const plusChainDTDSrc = `<!ELEMENT a (b)> <!ELEMENT b EMPTY>`
+
+// plusChainDocument nests depth x elements under a: depth + 1 elements.
+// With combed set, every level's x first holds a small <x><x/></x>, so a
+// level's record meets a record already held under the same label.
+func plusChainDocument(depth int, combed bool) (doc string, elements int) {
+	open := "<x>"
+	if combed {
+		open = "<x><x><x/></x>"
+	}
+	doc = "<a>" + strings.Repeat(open, depth) + strings.Repeat("</x>", depth) + "</a>"
+	return doc, strings.Count(doc, "<x") + 1
+}
+
+// TestStreamIngestPlusChainLinear pins streaming ingest at linear cost
+// along a chain of plus elements: the root's invalid instance records the
+// whole chain as nested statistics. Folding each level's record into its
+// parent by copy made the plain chain quadratic, and so would adding the
+// larger record into the smaller on the combed one. The chains classify
+// at σ = 0, and their committed statistics must equal the tree path's.
+func TestStreamIngestPlusChainLinear(t *testing.T) {
+	d := dtd.MustParse(plusChainDTDSrc)
+	d.Name = "a"
+	cfg := source.DefaultConfig()
+	cfg.Sigma = 0
+	cfg.AutoEvolve = false
+	newSource := func() *source.Source {
+		src := source.New(cfg)
+		src.AddDTD("a", d)
+		return src
+	}
+	for _, combed := range []bool{false, true} {
+		src := newSource()
+		shallow, m := plusChainDocument(100, combed)
+		deep, n := plusChainDocument(1000, combed)
+		perElement(t, src, shallow, m, false) // warm up
+		a, b := perElement(t, src, shallow, m, false), perElement(t, src, deep, n, false)
+		ratio := b / a
+		t.Logf("combed %v, per element: %.0fns at depth 100, %.0fns at depth 1,000 (ratio %.2f)", combed, a, b, ratio)
+		if ratio >= 3 {
+			t.Errorf("combed %v: per-element cost grows %.1fx from depth 100 to 1,000, want < 3", combed, ratio)
+		}
+
+		tree, streamed := newSource(), newSource()
+		doc, err := dtdevolve.ParseDocumentString(deep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := tree.Add(doc); !res.Classified {
+			t.Fatalf("combed %v: tree path did not classify the chain: %+v", combed, res)
+		}
+		if _, err := streamed.AddStream(strings.NewReader(deep)); err != nil {
+			t.Fatal(err)
+		}
+		ts, err := tree.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ss, err := streamed.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ts, ss) {
+			t.Errorf("combed %v: streamed chain statistics differ from the tree path's\ntree:   %.2000s\nstream: %.2000s", combed, ts, ss)
+		}
 	}
 }
 
