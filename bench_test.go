@@ -660,7 +660,7 @@ func BenchmarkEquivalence(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !dtd.Equivalent(x, y) {
+		if !validate.Equivalent(x, y) {
 			b.Fatal("should be equivalent")
 		}
 	}

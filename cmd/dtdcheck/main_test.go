@@ -60,3 +60,19 @@ func TestRunAcceptsDecayInUnitInterval(t *testing.T) {
 		}
 	}
 }
+
+// TestRunNoWarningOnNestedRepetition: ((a | b)*)* holds one occurrence of
+// each name, so dtdcheck must not call it nondeterministic, however many
+// paths reach an occurrence.
+func TestRunNoWarningOnNestedRepetition(t *testing.T) {
+	dir := t.TempDir()
+	schema := writeFile(t, dir, "s.dtd", `<!ELEMENT r ((a | b)*)*> <!ELEMENT a EMPTY> <!ELEMENT b EMPTY>`)
+	doc := writeFile(t, dir, "d.xml", `<r><a/><b/><a/></r>`)
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-dtd", schema, doc}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d on a valid document (stderr %q)", code, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "nondeterministic") {
+		t.Errorf("deterministic model flagged:\n%s", stderr.String())
+	}
+}

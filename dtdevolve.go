@@ -324,4 +324,4 @@ func EvolveSchema(s *Schema, docs []*Document, cfg EvolveConfig) (*Schema, Evolv
 // deterministic. Evolved DTDs — in particular misc-window merges — may be
 // nondeterministic; strictly conforming XML processors reject such models,
 // while this library's validator handles them.
-func CheckDeterminism(d *DTD) map[string][]string { return dtd.DTDDeterminism(d) }
+func CheckDeterminism(d *DTD) map[string][]string { return validate.DTDDeterminism(d) }

@@ -273,7 +273,7 @@ func E2Evolution(o Options) Table {
 			f3(metrics.MeanSimilarity(docs, entry.d, simCfg)),
 			f3(metrics.BehavioralDistance(drifted, entry.d, probe, o.scale(200, 40))),
 			fmt.Sprintf("%d", metrics.Conciseness(entry.d)),
-			fmt.Sprintf("%v", dtd.EquivalentDTDs(entry.d, drifted)),
+			fmt.Sprintf("%v", validate.EquivalentDTDs(entry.d, drifted)),
 		})
 	}
 	return table

@@ -352,7 +352,7 @@ func NewWithTable(d *dtd.DTD, tab *intern.Table) *Recorder {
 	intern.InternDTD(tab, d)
 	return &Recorder{
 		d:        d,
-		v:        validate.New(d),
+		v:        validate.NewWithTable(d, tab),
 		tab:      tab,
 		elements: make(map[int32]*elemStats),
 		declared: make(map[*dtd.Content][]int32),
@@ -623,7 +623,7 @@ func (r *Recorder) Reset() {
 // are interned into it.
 func (r *Recorder) SetDTD(d *dtd.DTD) {
 	r.d = d
-	r.v = validate.New(d)
+	r.v = validate.NewWithTable(d, r.tab)
 	r.declared = make(map[*dtd.Content][]int32)
 	intern.InternDTD(r.tab, d)
 	r.Reset()

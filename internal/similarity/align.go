@@ -112,12 +112,12 @@ type traceCell struct {
 
 // alignTrace mirrors align but records provenance, so the optimal edit
 // script can be reconstructed.
-func (e *Evaluator) alignTrace(a *nfa, children []*xmltree.Node) []AlignOp {
+func (e *Evaluator) alignTrace(a automaton, children []*xmltree.Node) []AlignOp {
 	layers := make([][]traceCell, len(children)+1)
 	for i := range layers {
-		layers[i] = make([]traceCell, len(a.eps))
+		layers[i] = make([]traceCell, a.Len())
 	}
-	layers[0][a.start] = traceCell{ok: true, fromLayer: -1}
+	layers[0][a.Start()] = traceCell{ok: true, fromLayer: -1}
 	e.relaxEpsTrace(a, layers, 0)
 	for i, child := range children {
 		cur, next := layers[i], layers[i+1]
@@ -131,25 +131,27 @@ func (e *Evaluator) alignTrace(a *nfa, children []*xmltree.Node) []AlignOp {
 				fromLayer: i, fromState: s,
 				op: traceOp{kind: 'x', child: child},
 			})
-			// Match the child on a symbol edge.
-			for _, edge := range a.syms[s] {
-				ts := e.tagSim(child.Name, edge.name)
-				if ts <= 0 {
-					continue
-				}
-				delta := e.matchDelta(child, edge.name, 0, true, ts)
-				e.improveTrace(next, edge.to, traceCell{
-					t: cur[s].t.Add(delta), ok: true,
-					fromLayer: i, fromState: s,
-					op: traceOp{kind: 'm', child: child, name: edge.name},
-				})
+			// Match the child on the symbol edge.
+			edge, ok := a.match(s)
+			if !ok {
+				continue
 			}
+			ts := e.tagSim(child.Name, edge.Name)
+			if ts <= 0 {
+				continue
+			}
+			delta := e.matchDelta(child, edge.Name, 0, true, ts)
+			e.improveTrace(next, int(edge.To), traceCell{
+				t: cur[s].t.Add(delta), ok: true,
+				fromLayer: i, fromState: s,
+				op: traceOp{kind: 'm', child: child, name: edge.Name},
+			})
 		}
 		e.relaxEpsTrace(a, layers, i+1)
 	}
 	// Reconstruct from the accept state of the last layer.
 	var ops []AlignOp
-	layer, state := len(children), a.accept
+	layer, state := len(children), a.Accept()
 	for {
 		cell := layers[layer][state]
 		if !cell.ok || cell.fromLayer < 0 {
@@ -180,7 +182,7 @@ func (e *Evaluator) improveTrace(cells []traceCell, s int, cand traceCell) bool 
 	return false
 }
 
-func (e *Evaluator) relaxEpsTrace(a *nfa, layers [][]traceCell, layer int) {
+func (e *Evaluator) relaxEpsTrace(a automaton, layers [][]traceCell, layer int) {
 	cells := layers[layer]
 	work := make([]int, 0, len(cells))
 	inWork := make([]bool, len(cells))
@@ -194,19 +196,21 @@ func (e *Evaluator) relaxEpsTrace(a *nfa, layers [][]traceCell, layer int) {
 		s := work[len(work)-1]
 		work = work[:len(work)-1]
 		inWork[s] = false
-		for _, edge := range a.eps[s] {
-			op := traceOp{}
-			if edge.skipName != "" {
-				op = traceOp{kind: 'd', name: edge.skipName}
-			}
+		relax := func(t int, minus float64, op traceOp) {
 			cand := traceCell{
-				t: cells[s].t.Add(Triple{Minus: edge.minus}), ok: true,
+				t: cells[s].t.Add(Triple{Minus: minus}), ok: true,
 				fromLayer: layer, fromState: s, op: op,
 			}
-			if e.improveTrace(cells, edge.to, cand) && !inWork[edge.to] {
-				work = append(work, edge.to)
-				inWork[edge.to] = true
+			if e.improveTrace(cells, t, cand) && !inWork[t] {
+				work = append(work, t)
+				inWork[t] = true
 			}
+		}
+		if edge, ok := a.match(s); ok {
+			relax(int(edge.To), a.del[s], traceOp{kind: 'd', name: edge.Name})
+		}
+		for _, t := range a.Eps(s) {
+			relax(int(t), 0, traceOp{})
 		}
 	}
 }

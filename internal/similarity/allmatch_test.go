@@ -156,6 +156,22 @@ func TestAllMatchExclusions(t *testing.T) {
 	}
 }
 
+// TestAllMatchNestedAny: the validity run reads a nested ANY as a
+// wildcard, so it accepts <root><a>x</a><b/></root> under root (a, ANY),
+// where the DP reads ANY as the empty sequence and skips <b/> at plus
+// cost. The tree path must run the DP there, as the streaming path does.
+func TestAllMatchNestedAny(t *testing.T) {
+	d := dtd.NewDTD("root")
+	d.Elements["root"] = dtd.NewSeq(dtd.NewName("a"), dtd.NewAny())
+	d.Elements["a"] = dtd.NewPCDATA()
+	root := parseDoc(t, `<root><a>x</a><b/></root>`)
+	cfg := DefaultConfig()
+	if got, want := NewEvaluator(d, cfg).Evaluate(root).Triple, (Triple{Plus: 0.5, Common: 1.75}); got != want {
+		t.Errorf("triple = %+v, want %+v", got, want)
+	}
+	checkAllPaths(t, "nested ANY", d, cfg, root, true)
+}
+
 // validDocuments generates documents for d and keeps the valid ones (the
 // generator cuts recursive models short at its depth limit).
 func validDocuments(g *gen.Generator, d *dtd.DTD, n int) []*xmltree.Document {

@@ -5,7 +5,6 @@ import (
 
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/intern"
-	"dtdevolve/internal/validate"
 	"dtdevolve/internal/xmltree"
 )
 
@@ -20,7 +19,7 @@ import (
 type sharedTables struct {
 	tab   *intern.Table
 	req   map[string]float64
-	nfas  map[*dtd.Content]*nfa
+	autos map[*dtd.Content]automaton
 	mixed map[*dtd.Content]*labelSet
 }
 
@@ -38,11 +37,7 @@ type Pool struct {
 	d      *dtd.DTD
 	shared *sharedTables
 	bound  Bound
-	// valid decides the local validity StreamEvals report; its
-	// content-model automata compile on first use and are shared by
-	// every StreamEval of the pool.
-	valid *validate.Validator
-	pool  sync.Pool
+	pool   sync.Pool
 	// streams pools StreamEvals (each owning a borrowed evaluator) for the
 	// streaming ingest path; see stream.go.
 	streams sync.Pool
@@ -66,10 +61,10 @@ func NewPoolWithTable(d *dtd.DTD, cfg Config, tab *intern.Table) *Pool {
 	shared := &sharedTables{
 		tab:   tab,
 		req:   seed.reqMemo,
-		nfas:  seed.nfaMemo,
+		autos: seed.autoMemo,
 		mixed: seed.mixedMemo,
 	}
-	p := &Pool{d: d, shared: shared, bound: computeBound(d, cfg, seed), valid: validate.New(d)}
+	p := &Pool{d: d, shared: shared, bound: computeBound(d, cfg, seed)}
 	p.pool.New = func() any {
 		e := newEvaluator(d, cfg, tab)
 		e.shared = shared

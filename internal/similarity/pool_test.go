@@ -175,6 +175,17 @@ func TestEvaluatorScoresLikePool(t *testing.T) {
 	}
 }
 
+// sizedDTD is the DTD whose pools the byte tests below measure.
+const sizedDTD = `
+<!ELEMENT doc (head, sec+, back?)>
+<!ELEMENT head (title, author*)>
+<!ELEMENT sec (title, (para | list)*, sec*)>
+<!ELEMENT list (item+)>
+<!ELEMENT back (note | ref)*>
+<!ELEMENT title (#PCDATA)>
+<!ELEMENT author (#PCDATA)>
+<!ELEMENT para (#PCDATA | em)*>`
+
 // TestPoolBytesIndependentOfTable pins that a pool's tables are sized by
 // its DTD: building one on a table that already holds 100,000 other symbols
 // allocates within 10% of building it on a table holding only the DTD's
@@ -183,15 +194,7 @@ func TestPoolBytesIndependentOfTable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
-	d := dtd.MustParse(`
-<!ELEMENT doc (head, sec+, back?)>
-<!ELEMENT head (title, author*)>
-<!ELEMENT sec (title, (para | list)*, sec*)>
-<!ELEMENT list (item+)>
-<!ELEMENT back (note | ref)*>
-<!ELEMENT title (#PCDATA)>
-<!ELEMENT author (#PCDATA)>
-<!ELEMENT para (#PCDATA | em)*>`)
+	d := dtd.MustParse(sizedDTD)
 	filler := make([]string, 100000)
 	for i := range filler {
 		filler[i] = fmt.Sprintf("filler%06d", i)
@@ -215,5 +218,40 @@ func TestPoolBytesIndependentOfTable(t *testing.T) {
 	t.Logf("bytes per pool: %.0f on a fresh table, %.0f on a 100,000-symbol table", a, b)
 	if b > 1.1*a {
 		t.Errorf("a pool on a 100,000-symbol table allocates %.0f bytes, %.2fx the %.0f on a fresh table; want within 10%%", b, b/a, a)
+	}
+}
+
+// TestPoolAutomataBytes pins the size of the automata a pool compiles:
+// compiling the element-content models of sizedDTD allocates no more
+// than the 5,416 bytes per round the similarity package's private
+// alignment automaton took (Go 1.24, linux/amd64), before alignment moved
+// onto validate's automaton. A registry holds one set per DTD.
+func TestPoolAutomataBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	const privateBytes = 5416
+	d := dtd.MustParse(sizedDTD)
+	e := NewEvaluator(d, DefaultConfig()) // also memoizes the required weights
+	var models []*dtd.Content
+	for _, name := range d.Declared() {
+		if m := d.Elements[name]; isElementContent(m) {
+			models = append(models, m)
+		}
+	}
+	const rounds = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		clear(e.autoMemo)
+		for _, m := range models {
+			e.compiled(m)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / rounds
+	t.Logf("compiling %d models: %.0f bytes per round (private automaton: %d)", len(models), got, privateBytes)
+	if got > privateBytes {
+		t.Errorf("compiling %d models allocates %.0f bytes per round, more than the %d of the private alignment automaton", len(models), got, privateBytes)
 	}
 }

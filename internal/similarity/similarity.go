@@ -39,6 +39,7 @@ import (
 
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/intern"
+	"dtdevolve/internal/validate"
 	"dtdevolve/internal/xmltree"
 )
 
@@ -148,8 +149,8 @@ type Evaluator struct {
 	shared *sharedTables
 	// reqMemo caches the required weights of declared elements by name,
 	// at most one entry per declaration; it is made on first use.
-	reqMemo map[string]float64
-	nfaMemo map[*dtd.Content]*nfa
+	reqMemo  map[string]float64
+	autoMemo map[*dtd.Content]automaton
 	// mixedMemo caches the sorted, interned label set of mixed models.
 	mixedMemo map[*dtd.Content]*labelSet
 	// triMemo caches global triples per (element node, model): a model may
@@ -164,9 +165,10 @@ type Evaluator struct {
 	simMemo map[simKey]float64
 	// allMatch enables the all-match shortcut of contentTriple and of
 	// StreamEval's deferred frames (cfg.allMatchExact); run is the
-	// acceptance run of allMatchAccepts.
+	// acceptance run of allMatchAccepts. Each evaluator owns one run (a run
+	// completes before the evaluator recurses).
 	allMatch bool
-	run      allMatchRun
+	run      validate.Run
 	// aligns counts the DP alignments run, for tests.
 	aligns int
 }
@@ -207,7 +209,7 @@ func newEvaluator(d *dtd.DTD, cfg Config, tab *intern.Table) *Evaluator {
 		cfg:       cfg,
 		d:         d,
 		tab:       tab,
-		nfaMemo:   make(map[*dtd.Content]*nfa),
+		autoMemo:  make(map[*dtd.Content]automaton),
 		mixedMemo: make(map[*dtd.Content]*labelSet),
 		triMemo:   make(map[triKey]Triple),
 		allMatch:  cfg.allMatchExact(),
@@ -440,10 +442,11 @@ func (e *Evaluator) contentTriple(model *dtd.Content, n *xmltree.Node, depth int
 // order. That all-match path strictly outscores every other path, and the
 // sum repeats the additions the DP makes along it, so the triple is
 // bit-identical to align's (DESIGN.md §3.1). ok is false when the
-// shortcut does not apply; deltas computed before an imperfect child stay
-// memoized for the DP.
-func (e *Evaluator) allMatchTriple(a *nfa, n *xmltree.Node, depth int, global bool) (t Triple, ok bool) {
-	if !e.allMatch || !e.allMatchAccepts(a, n) {
+// shortcut does not apply, which includes every model nesting an ANY (its
+// run would read the wildcard); deltas computed before an imperfect child
+// stay memoized for the DP.
+func (e *Evaluator) allMatchTriple(a automaton, n *xmltree.Node, depth int, global bool) (t Triple, ok bool) {
+	if !e.allMatch || a.HasWildcard() || !e.allMatchAccepts(a, n) {
 		return Triple{}, false
 	}
 	for _, c := range n.Children {

@@ -16,8 +16,8 @@
 //
 // Each frame also tracks the boolean one-level validity of its element
 // (validate.LocalValid semantics) so the recording path can reuse it: for
-// element content it runs the validator's own content-model automaton,
-// one step per child element.
+// element content it runs validate.Run over the frame's automaton, the
+// one its DP reads, one step per child element.
 //
 // A content frame defers its DP while its children are all-match and
 // perfect (the shortcut of Evaluator.allMatchTriple): it sums their match
@@ -70,10 +70,9 @@ type sframe struct {
 	hasText    bool // some non-whitespace text child (xmltree.Node.HasText semantics)
 	mixedOK    bool // mixed validity: every element child so far is in the alphabet
 	id         int32
-	name       string
 	decl       *dtd.Content
 	set        *labelSet
-	a          *nfa
+	a          automaton
 	t          Triple       // ANY/EMPTY/PCDATA/mixed accumulator
 	anyT       Triple       // ANY-style summary of a content frame, used when degraded
 	textPlus   float64      // content models: one plus per text child
@@ -97,7 +96,6 @@ type sframe struct {
 // Not safe for concurrent use.
 type StreamEval struct {
 	e      *Evaluator
-	v      *validate.Validator
 	frames []sframe
 	n      int // open frames
 	// sc provides the worklist scratch of relaxEps; owned (not drawn from
@@ -118,7 +116,7 @@ func (p *Pool) GetStream() *StreamEval {
 		se.Reset()
 		return se
 	}
-	return &StreamEval{e: p.Get(), v: p.valid}
+	return &StreamEval{e: p.Get()}
 }
 
 // PutStream returns a streaming evaluator to the pool.
@@ -142,8 +140,7 @@ func (se *StreamEval) Declared(name string) bool {
 	return ok
 }
 
-// Start opens an element with interned label id. name must stay valid
-// until the matching End (interned names are).
+// Start opens an element with interned label id and tag name.
 func (se *StreamEval) Start(id int32, name string) {
 	if se.n == len(se.frames) {
 		se.frames = append(se.frames, sframe{})
@@ -152,7 +149,7 @@ func (se *StreamEval) Start(id int32, name string) {
 	depth := se.n
 	se.n++
 	decl, declared := se.e.d.Elements[name]
-	f.id, f.name, f.decl, f.declared = id, name, decl, declared
+	f.id, f.decl, f.declared = id, decl, declared
 	f.triples = declared && depth < se.e.cfg.MaxDepth
 	f.degraded, f.hasText, f.deferred = false, false, false
 	f.mixedOK = true
@@ -173,11 +170,11 @@ func (se *StreamEval) Start(id int32, name string) {
 	default:
 		f.mode = modeContent
 		f.a = se.e.compiled(decl)
-		f.run.Reset(se.v.Automaton(decl))
+		f.run.Reset(f.a.Automaton)
 		// The validity run decides the all-match language only where the
 		// validator and the DP read the model alike: not across a nested
 		// ANY.
-		f.deferred = f.triples && se.e.allMatch && !f.a.nestedAny
+		f.deferred = f.triples && se.e.allMatch && !f.a.HasWildcard()
 		f.sum, f.nbuf = Triple{}, 0
 		if f.triples && !f.deferred {
 			se.startDP(f)
@@ -188,7 +185,7 @@ func (se *StreamEval) Start(id int32, name string) {
 // startDP prepares a content frame's DP layer over the empty child
 // sequence.
 func (se *StreamEval) startDP(f *sframe) {
-	n := len(f.a.eps)
+	n := f.a.Len()
 	if cap(f.cells) < n {
 		f.cells = make([]cell, n)
 		f.spare = make([]cell, n)
@@ -198,7 +195,7 @@ func (se *StreamEval) startDP(f *sframe) {
 	for i := range f.cells {
 		f.cells[i] = cell{}
 	}
-	f.cells[f.a.start] = cell{ok: true}
+	f.cells[f.a.Start()] = cell{ok: true}
 	se.e.relaxEps(f.a, f.cells, &se.sc)
 }
 
@@ -271,7 +268,7 @@ func (se *StreamEval) End(childW float64) (valid bool) {
 	p := &se.frames[se.n-1]
 	p.childCount++
 	p.elemCount++
-	se.consume(p, f.id, f.name, f.declared, childW, tr)
+	se.consume(p, f.id, f.declared, childW, tr)
 	return valid
 }
 
@@ -319,8 +316,8 @@ func (se *StreamEval) ownTriple(f *sframe) Triple {
 			se.replay(f)
 		}
 		t := Triple{Minus: 1}
-		if f.cells[f.a.accept].ok {
-			t = f.cells[f.a.accept].t
+		if f.cells[f.a.Accept()].ok {
+			t = f.cells[f.a.Accept()].t
 		}
 		t.Plus += f.textPlus
 		return t
@@ -333,7 +330,7 @@ func (se *StreamEval) ownTriple(f *sframe) Triple {
 // parent's triple advances exactly as the corresponding branch of
 // elementTriple would, and its validity state consumes the child's tag.
 // dtdvet:noalloc
-func (se *StreamEval) consume(p *sframe, cid int32, name string, childDeclared bool, childW float64, childT Triple) {
+func (se *StreamEval) consume(p *sframe, cid int32, childDeclared bool, childW float64, childT Triple) {
 	// Validity consumes the child tag at every depth (recording is not
 	// depth-capped), independent of the triple accumulation below.
 	live := true
@@ -344,7 +341,7 @@ func (se *StreamEval) consume(p *sframe, cid int32, name string, childDeclared b
 		}
 	case modeContent:
 		if !p.degraded {
-			live = p.run.Step(name)
+			live = p.run.Step(cid)
 		}
 	}
 	decay := se.e.cfg.Decay
@@ -436,11 +433,8 @@ func (se *StreamEval) dpStep(p *sframe, cid int32, childW float64, delta Triple)
 			continue
 		}
 		se.e.improve(next, s, cur[s].t.Add(Triple{Plus: childW}))
-		for _, edge := range a.syms[s] {
-			if cid == intern.None || cid != edge.id {
-				continue
-			}
-			se.e.improve(next, edge.to, cur[s].t.Add(delta))
+		if edge, ok := a.match(s); ok && cid != intern.None && cid == edge.ID {
+			se.e.improve(next, int(edge.To), cur[s].t.Add(delta))
 		}
 	}
 	p.cells, p.spare = next, cur

@@ -5,10 +5,12 @@
 //
 // Content-model matching runs one Thompson-style automaton per content
 // model (automaton.go) as a reachable-state bitset, advanced once per child
-// element: deciding an element's local validity is linear in its children.
-// Automata are compiled on first use and cached per Validator, and run
-// scratch is pooled, so the recording hot path — LocalValid on every
-// element of every document — does not allocate at steady state.
+// element by its interned label ID: deciding an element's local validity is
+// linear in its children. Automata are compiled on first use and cached per
+// Validator, and run scratch is pooled, so the recording hot path —
+// LocalValid on every element of every document — does not allocate at
+// steady state. The same automaton carries the similarity alignment and the
+// determinism and equivalence analyses (analysis.go).
 package validate
 
 import (
@@ -18,6 +20,7 @@ import (
 	"sync"
 
 	"dtdevolve/internal/dtd"
+	"dtdevolve/internal/intern"
 	"dtdevolve/internal/xmltree"
 )
 
@@ -39,16 +42,26 @@ func (v Violation) String() string {
 // concurrent use: its only mutable state is the automaton cache.
 type Validator struct {
 	d *dtd.DTD
+	// tab labels the automata's symbol edges; a child steps a run by its
+	// ID in tab.
+	tab *intern.Table
 	// autos maps each content model LocalValid has seen to its automaton
 	// (*dtd.Content → *Automaton). Models compile on first use, never in
 	// New: a registry keeps thousands of validators live and exercises few
-	// of their models. Concurrent stream lanes share the cache.
+	// of their models.
 	autos sync.Map
 }
 
-// New returns a Validator for d.
+// New returns a Validator for d with a private symbol table. To validate
+// documents stamped by a shared table without looking their tags up, use
+// NewWithTable.
 func New(d *dtd.DTD) *Validator {
-	return &Validator{d: d}
+	return NewWithTable(d, intern.NewTable())
+}
+
+// NewWithTable returns a Validator for d whose automata run on tab's IDs.
+func NewWithTable(d *dtd.DTD, tab *intern.Table) *Validator {
+	return &Validator{d: d, tab: tab}
 }
 
 // Valid reports whether the whole document is valid for the DTD.
@@ -122,9 +135,10 @@ func (v *Validator) LocalValid(n *xmltree.Node, model *dtd.Content) bool {
 		return false
 	}
 	r := runs.Get().(*Run)
-	r.Reset(v.Automaton(model))
+	r.Reset(v.automaton(model))
+	view := v.tab.View()
 	for _, c := range n.Children {
-		if c.Kind == xmltree.Element && !r.Step(c.Name) {
+		if c.Kind == xmltree.Element && !r.Step(labelID(view, c)) {
 			break
 		}
 	}
@@ -133,11 +147,21 @@ func (v *Validator) LocalValid(n *xmltree.Node, model *dtd.Content) bool {
 	return ok
 }
 
-// Automaton returns the automaton LocalValid runs for the children of an
+// labelID is the ID of element c's tag in view: the node's cached LabelID
+// when it names the tag there (the source stamps documents with its
+// table), else a lookup, None for a tag the table never saw.
+func labelID(view intern.View, c *xmltree.Node) int32 {
+	if id := c.LabelID(); id > 0 && view.NameIs(id, c.Name) {
+		return id
+	}
+	return view.ID(c.Name)
+}
+
+// automaton returns the automaton LocalValid runs for the children of an
 // element declared with model, compiling and caching it on first use. A
 // mixed model admits its labels in any order and number. Safe for
 // concurrent use.
-func (v *Validator) Automaton(model *dtd.Content) *Automaton {
+func (v *Validator) automaton(model *dtd.Content) *Automaton {
 	if a, ok := v.autos.Load(model); ok {
 		return a.(*Automaton)
 	}
@@ -149,7 +173,7 @@ func (v *Validator) Automaton(model *dtd.Content) *Automaton {
 		}
 		src = dtd.NewStar(dtd.NewChoice(names...))
 	}
-	a, _ := v.autos.LoadOrStore(model, compile(src))
+	a, _ := v.autos.LoadOrStore(model, Compile(src, v.tab))
 	return a.(*Automaton)
 }
 
@@ -189,12 +213,23 @@ func compactTags(tags []string) string {
 // model exactly. It treats the model as an element-content model; PCDATA
 // leaves match the empty sequence (character data carries no child tags).
 func MatchModel(model *dtd.Content, tags []string) bool {
+	return Matcher(model)(tags)
+}
+
+// Matcher compiles model once and returns MatchModel over it, for callers
+// that decide many tag sequences against one model. The returned function
+// is not safe for concurrent use.
+func Matcher(model *dtd.Content) func(tags []string) bool {
+	tab := intern.NewTable()
+	a := Compile(model, tab)
 	var r Run
-	r.Reset(compile(model))
-	for _, t := range tags {
-		if !r.Step(t) {
-			return false
+	return func(tags []string) bool {
+		r.Reset(a)
+		for _, t := range tags {
+			if !r.Step(tab.ID(t)) {
+				return false
+			}
 		}
+		return r.Accepts()
 	}
-	return r.Accepts()
 }

@@ -6,6 +6,7 @@ import (
 
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/evolve"
+	"dtdevolve/internal/validate"
 	"dtdevolve/internal/xmltree"
 )
 
@@ -63,7 +64,7 @@ func TestDTDSchemaRoundTrip(t *testing.T) {
 	}
 	for name, model := range d.Elements {
 		got := back.Elements[name]
-		if got == nil || !dtd.Equivalent(model, got) {
+		if got == nil || !validate.Equivalent(model, got) {
 			t.Errorf("element %s changed: %s -> %v", name, model, got)
 		}
 	}
@@ -338,7 +339,7 @@ func TestWithOccursWrapsNestedRange(t *testing.T) {
 	d.Declare("a", dtd.NewEmpty())
 	s := FromDTD(d)
 	back, _ := ToDTD(s)
-	if !dtd.Equivalent(back.Elements["r"], m) {
+	if !validate.Equivalent(back.Elements["r"], m) {
 		t.Errorf("round trip changed language: %s -> %s", m, back.Elements["r"])
 	}
 }

@@ -136,8 +136,9 @@ func sortedKeys(set map[string]bool) []string {
 }
 
 func acceptsAll(model *dtd.Content, instances []instance) bool {
+	match := validate.Matcher(model)
 	for _, in := range instances {
-		if !validate.MatchModel(model, in.tags) {
+		if !match(in.tags) {
 			return false
 		}
 	}
