@@ -23,7 +23,9 @@ package classify
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -103,6 +105,8 @@ type Classifier struct {
 	// GOMAXPROCS-wide ingest batch cannot fan out more than cap(slots)
 	// helpers in total — the caller always scores on its own goroutine.
 	slots chan struct{}
+	// workspaces pools the *workspace storage of classifications.
+	workspaces sync.Pool
 
 	classifications atomic.Int64
 	possible        atomic.Int64
@@ -110,10 +114,15 @@ type Classifier struct {
 	scored          atomic.Int64
 	pruned          atomic.Int64
 
+	// Every registered DTD owns a dense slot, reused after Remove; heads
+	// and sigs are indexed by slot, and a free slot's signature is nil.
 	mu       sync.RWMutex
-	dtds     map[string]*dtd.DTD // dtdvet:guarded_by mu
-	sigs     map[string]*dtdSig  // dtdvet:guarded_by mu
-	postings map[int32][]*dtdSig // dtdvet:guarded_by mu -- inverted index: label ID → signatures of DTDs whose alphabet has it
+	slotOf   map[string]int32  // dtdvet:guarded_by mu
+	heads    []slotHead        // dtdvet:guarded_by mu
+	sigs     []*dtdSig         // dtdvet:guarded_by mu
+	free     []int32           // dtdvet:guarded_by mu
+	postings map[int32][]int32 // dtdvet:guarded_by mu -- inverted index: label ID → slots of DTDs whose alphabet has it
+	minName  string            // dtdvet:guarded_by mu -- smallest registered name, the winner of an all-zero fold
 }
 
 // New returns a Classifier with threshold σ and measure configuration cfg,
@@ -127,7 +136,7 @@ func New(sigma float64, cfg similarity.Config) *Classifier {
 // same table to its recorders, so the label IDs it stamps on documents
 // stay valid across classification and recording.
 func NewWithTable(sigma float64, cfg similarity.Config, tab *intern.Table) *Classifier {
-	return &Classifier{
+	c := &Classifier{
 		sigma:    sigma,
 		cfg:      cfg,
 		tab:      tab,
@@ -136,10 +145,11 @@ func NewWithTable(sigma float64, cfg similarity.Config, tab *intern.Table) *Clas
 			cfg.PlusWeight >= 0 && cfg.MinusWeight >= 0 &&
 			cfg.Decay > 0 && cfg.Decay <= 1,
 		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
-		dtds:     make(map[string]*dtd.DTD),
-		sigs:     make(map[string]*dtdSig),
-		postings: make(map[int32][]*dtdSig),
+		slotOf:   make(map[string]int32),
+		postings: make(map[int32][]int32),
 	}
+	c.workspaces.New = func() any { return new(workspace) }
+	return c
 }
 
 // Sigma returns the classification threshold.
@@ -167,45 +177,69 @@ func (c *Classifier) Set(name string, d *dtd.DTD) {
 	sig := buildSig(name, d, pool)                       // and the signature too
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.sigs[name]; ok {
-		c.unindexLocked(old)
+	c.setLocked(sig)
+}
+
+// setLocked registers g under its name, in the slot the name holds or else
+// a free one, and adds one posting per alphabet label.
+// dtdvet:requires mu
+func (c *Classifier) setLocked(g *dtdSig) {
+	slot, ok := c.slotOf[g.name]
+	switch {
+	case ok:
+		c.unindexLocked(slot)
+	case len(c.free) > 0:
+		slot = c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+	default:
+		slot = int32(len(c.sigs))
+		c.sigs = append(c.sigs, nil)
+		c.heads = append(c.heads, slotHead{})
 	}
-	c.dtds[name] = d
-	c.sigs[name] = sig
-	c.indexLocked(sig)
+	if !ok {
+		c.slotOf[g.name] = slot
+		if c.minName == "" || g.name < c.minName {
+			c.minName = g.name
+		}
+	}
+	c.sigs[slot], c.heads[slot] = g, g.slotHead
+	for _, id := range g.labels {
+		c.postings[id] = append(c.postings[id], slot)
+	}
 }
 
 // Remove deletes the DTD registered under name.
 func (c *Classifier) Remove(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if old, ok := c.sigs[name]; ok {
-		c.unindexLocked(old)
+	slot, ok := c.slotOf[name]
+	if !ok {
+		return
 	}
-	delete(c.dtds, name)
-	delete(c.sigs, name)
-}
-
-// indexLocked adds one posting per alphabet label of g.
-// dtdvet:requires mu
-func (c *Classifier) indexLocked(g *dtdSig) {
-	for _, id := range g.labels {
-		c.postings[id] = append(c.postings[id], g)
-	}
-}
-
-// unindexLocked removes g's postings. Swap-remove: order within a posting
-// list is irrelevant, candidates are re-ranked per query.
-// dtdvet:requires mu
-func (c *Classifier) unindexLocked(g *dtdSig) {
-	for _, id := range g.labels {
-		list := c.postings[id]
-		for i, e := range list {
-			if e == g {
-				list[i] = list[len(list)-1]
-				list = list[:len(list)-1]
-				break
+	c.unindexLocked(slot)
+	delete(c.slotOf, name)
+	c.sigs[slot], c.heads[slot] = nil, slotHead{}
+	c.free = append(c.free, slot)
+	if name == c.minName {
+		c.minName = ""
+		for n := range c.slotOf {
+			if c.minName == "" || n < c.minName {
+				c.minName = n
 			}
+		}
+	}
+}
+
+// unindexLocked removes the postings of the DTD in slot. Swap-remove:
+// order within a posting list is irrelevant, candidates are re-ranked per
+// query.
+// dtdvet:requires mu
+func (c *Classifier) unindexLocked(slot int32) {
+	for _, id := range c.sigs[slot].labels {
+		list := c.postings[id]
+		if i := slices.Index(list, slot); i >= 0 {
+			list[i] = list[len(list)-1]
+			list = list[:len(list)-1]
 		}
 		if len(list) == 0 {
 			delete(c.postings, id)
@@ -224,8 +258,8 @@ func (c *Classifier) Names() []string {
 
 // dtdvet:requires mu:r
 func (c *Classifier) namesLocked() []string {
-	out := make([]string, 0, len(c.dtds))
-	for name := range c.dtds {
+	out := make([]string, 0, len(c.slotOf))
+	for name := range c.slotOf {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -236,7 +270,10 @@ func (c *Classifier) namesLocked() []string {
 func (c *Classifier) DTD(name string) *dtd.DTD {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.dtds[name]
+	if slot, ok := c.slotOf[name]; ok {
+		return c.sigs[slot].d
+	}
+	return nil
 }
 
 // Classify evaluates the document through the candidate index and returns
@@ -269,92 +306,131 @@ func (c *Classifier) ClassifyExhaustiveElement(root *xmltree.Node) Result {
 	return c.classifyLocked(root, true)
 }
 
-// scoreEntry is one planned candidate. Entries are claimed by exactly one
-// scoring worker (via an atomic cursor), which is the only writer of the
+// workspace is the working storage of one classification, pooled so that a
+// classification allocates nothing per candidate: the document signature's
+// buffers, the slot-indexed overlap accumulator, the plan, and the state
+// the scoring workers share.
+type workspace struct {
+	sig sigBuf
+	// acc[slot] is the document weight on labels the slot's DTD knows.
+	// hit marks the slots touched so far, listed in touched; acc cannot
+	// mark them itself, because decay^ℓ may underflow to 0.
+	acc     []float64
+	hit     []bool
+	touched []int32
+	plan    []planEntry
+
+	cursor atomic.Int64  // the last plan index claimed
+	best   atomic.Uint64 // Float64bits of the best confirmed similarity
+	wg     sync.WaitGroup
+}
+
+// planEntry is one planned candidate. Entries are claimed by exactly one
+// scoring worker (via the atomic cursor), which is the only writer of the
 // mutable fields until the pool is joined.
-type scoreEntry struct {
-	sig *dtdSig
-	// ub is the similarity upper bound that admitted the candidate; 1 on
-	// the exhaustive path.
-	ub float64
-	// doc/acc carry the signature context for lazy bound refinement; doc
-	// is nil on the exhaustive path.
-	doc     *docSig
-	acc     float64
-	refined bool
-	scored  bool
+type planEntry struct {
+	slot            int32
+	refined, scored bool
+	// ub is the similarity upper bound that admitted the candidate (1 on
+	// the exhaustive path), and acc the overlap weight it came from.
+	ub, acc float64
 	sim     float64
 }
 
 // dtdvet:requires mu:r
 func (c *Classifier) classifyLocked(root *xmltree.Node, exhaustive bool) Result {
 	c.classifications.Add(1)
-	c.possible.Add(int64(len(c.sigs)))
-	var plan []*scoreEntry
-	prune := false
+	c.possible.Add(int64(len(c.slotOf)))
+	ws := c.workspaces.Get().(*workspace)
+	defer c.workspaces.Put(ws)
+	var sig *docSig // nil: score every planned entry
 	if exhaustive || !c.prunable {
-		plan = c.fullPlanLocked(root)
+		c.fullPlanLocked(ws, root)
 	} else {
-		sig := extractSig(root, c.tab.View(), c.cfg.Decay, c.depthCap)
-		plan = c.candidatePlanLocked(sig)
-		c.candidates.Add(int64(len(plan)))
-		prune = true
+		sig = ws.sig.extractSig(root, c.tab.View(), c.cfg.Decay, c.depthCap)
+		c.candidatePlanLocked(ws, sig)
+		c.candidates.Add(int64(len(ws.plan)))
 	}
-	c.scorePlan(plan, root, prune)
-	return c.foldLocked(plan, exhaustive)
+	c.scorePlan(ws, c.sigs, root, sig)
+	return c.foldLocked(ws.plan, exhaustive)
 }
 
 // fullPlanLocked plans every registered DTD, with the declared-root gate
 // the exhaustive path has always had: a DTD with a declared root only
 // matches documents rooted there, scored 0 with no alignment.
 // dtdvet:requires mu:r
-func (c *Classifier) fullPlanLocked(root *xmltree.Node) []*scoreEntry {
-	plan := make([]*scoreEntry, 0, len(c.sigs))
-	for _, g := range c.sigs {
-		e := &scoreEntry{sig: g, ub: 1}
-		if !(g.rootName == "" || root == nil || g.rootName == root.Name) {
+func (c *Classifier) fullPlanLocked(ws *workspace, root *xmltree.Node) {
+	ws.plan = ws.plan[:0]
+	for slot, g := range c.sigs {
+		if g == nil {
+			continue
+		}
+		e := planEntry{slot: int32(slot), ub: 1}
+		if !(g.d.Name == "" || root == nil || g.d.Name == root.Name) {
 			e.scored = true // root mismatch: similarity 0, no alignment
 		}
-		plan = append(plan, e)
+		ws.plan = append(ws.plan, e)
 	}
-	return plan
 }
 
 // candidatePlanLocked ranks the DTDs structurally overlapping the
 // document: the postings of every distinct document label accumulate
-// overlap weight per DTD, the root gates drop DTDs that would score 0
+// overlap weight per slot, the root gates drop DTDs that would score 0
 // anyway, and survivors are ordered best bound first so the confirmed
 // score rises as fast as possible.
 // dtdvet:requires mu:r
-func (c *Classifier) candidatePlanLocked(s *docSig) []*scoreEntry {
+func (c *Classifier) candidatePlanLocked(ws *workspace, s *docSig) {
+	ws.plan = ws.plan[:0]
 	if s.rootID == intern.None {
 		// The root tag was never interned, so no DTD declares it and every
 		// similarity is 0.
-		return nil
+		return
 	}
-	acc := make(map[*dtdSig]float64)
+	if n := len(c.heads) - len(ws.hit); n > 0 {
+		ws.acc = append(ws.acc, make([]float64, n)...)
+		ws.hit = append(ws.hit, make([]bool, n)...)
+	}
+	ws.touched = ws.touched[:0]
 	for i, id := range s.labels {
-		for _, g := range c.postings[id] {
-			acc[g] += s.labelW[i]
+		for _, slot := range c.postings[id] {
+			if !ws.hit[slot] {
+				ws.hit[slot] = true
+				ws.acc[slot] = 0
+				ws.touched = append(ws.touched, slot)
+			}
+			ws.acc[slot] += s.labelW[i]
 		}
 	}
-	plan := make([]*scoreEntry, 0, len(acc))
-	for g, w := range acc {
-		if !g.declared.has(s.rootID) {
-			continue // root tag undeclared by g: similarity 0
+	heads := c.heads
+	for _, slot := range ws.touched {
+		ws.hit[slot] = false
+		h := &heads[slot]
+		if h.gate != s.rootID && (h.gate != 0 || !c.sigs[slot].declares(s.rootID)) {
+			continue // root gate: similarity 0
 		}
-		if g.rootName != "" && g.rootName != s.rootName {
-			continue // declared-root gate
-		}
-		plan = append(plan, &scoreEntry{sig: g, ub: g.ubFlat(s, w), doc: s, acc: w})
+		acc := ws.acc[slot]
+		ws.plan = append(ws.plan, planEntry{slot: slot, ub: h.ubFlat(s, acc), acc: acc})
 	}
-	sort.Slice(plan, func(i, j int) bool {
-		if plan[i].ub != plan[j].ub {
-			return plan[i].ub > plan[j].ub
-		}
-		return plan[i].sig.name < plan[j].sig.name
+	slices.SortFunc(ws.plan, func(a, b planEntry) int {
+		return rank(a.ub, heads[a.slot].name, b.ub, heads[b.slot].name)
 	})
-	return plan
+}
+
+// rank orders (value, name) pairs best first: value descending, ties by
+// name.
+func rank(av float64, an string, bv float64, bn string) int {
+	switch {
+	case av > bv:
+		return -1
+	case av < bv:
+		return 1
+	}
+	return strings.Compare(an, bn)
+}
+
+// byScore orders candidates best first, the order of Result.Candidates.
+func byScore(a, b Candidate) int {
+	return rank(a.Similarity, a.Name, b.Similarity, b.Name)
 }
 
 // boundEps absorbs floating-point divergence between the bound's and the
@@ -362,68 +438,69 @@ func (c *Classifier) candidatePlanLocked(s *docSig) []*scoreEntry {
 const boundEps = 1e-9
 
 // scorePlan runs the DP alignment for every planned entry not provably
-// beaten. The caller always scores on its own goroutine; helpers join
-// only as the classifier-wide slots budget admits, claiming entries in
-// plan order through an atomic cursor.
-func (c *Classifier) scorePlan(plan []*scoreEntry, root *xmltree.Node, prune bool) {
-	if len(plan) == 0 {
+// beaten; with a nil s it scores them all. The caller always scores on its
+// own goroutine; helpers join only as the classifier-wide slots budget
+// admits, claiming entries in plan order through an atomic cursor.
+func (c *Classifier) scorePlan(ws *workspace, sigs []*dtdSig, root *xmltree.Node, s *docSig) {
+	if len(ws.plan) == 0 {
 		return
 	}
-	var cursor atomic.Int64
-	cursor.Store(-1)
-	var best atomic.Uint64 // Float64bits of the best confirmed similarity
-	work := func() {
-		for {
-			i := int(cursor.Add(1))
-			if i >= len(plan) {
-				return
-			}
-			e := plan[i]
-			if e.scored {
-				continue // pre-gated to 0
-			}
-			if prune && c.skipEntry(e, &best) {
-				continue
-			}
-			e.sim = e.sig.pool.GlobalSim(root)
-			e.scored = true
-			c.scored.Add(1)
-			for {
-				cur := best.Load()
-				if e.sim <= math.Float64frombits(cur) {
-					break
-				}
-				if best.CompareAndSwap(cur, math.Float64bits(e.sim)) {
-					break
-				}
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for helpers := 0; helpers < len(plan)-1; helpers++ {
+	ws.cursor.Store(-1)
+	ws.best.Store(0)
+	for helpers := 0; helpers < len(ws.plan)-1; helpers++ {
 		select {
 		case c.slots <- struct{}{}:
-			wg.Add(1)
+			ws.wg.Add(1)
 			go func() {
-				defer wg.Done()
+				defer ws.wg.Done()
 				defer func() { <-c.slots }()
-				work()
+				c.work(ws, sigs, root, s)
 			}()
 			continue
 		default:
 		}
 		break
 	}
-	work()
-	wg.Wait()
+	c.work(ws, sigs, root, s)
+	ws.wg.Wait()
+}
+
+// work claims and scores plan entries until the plan is exhausted.
+func (c *Classifier) work(ws *workspace, sigs []*dtdSig, root *xmltree.Node, s *docSig) {
+	for {
+		i := int(ws.cursor.Add(1))
+		if i >= len(ws.plan) {
+			return
+		}
+		e := &ws.plan[i]
+		if e.scored {
+			continue // pre-gated to 0
+		}
+		if s != nil && c.skipEntry(e, sigs, s, &ws.best) {
+			continue
+		}
+		e.sim = sigs[e.slot].pool.GlobalSim(root)
+		e.scored = true
+		c.scored.Add(1)
+		for {
+			cur := ws.best.Load()
+			if e.sim <= math.Float64frombits(cur) {
+				break
+			}
+			if ws.best.CompareAndSwap(cur, math.Float64bits(e.sim)) {
+				break
+			}
+		}
+	}
 }
 
 // skipEntry reports whether e can be skipped without changing the result:
 // its upper bound is strictly below both the best confirmed similarity
 // (the winner cannot change — the best only rises) and σ (the classified
 // bit cannot change). Before giving up on a skip, the flat bound is
-// refined once with the pair and depth profiles.
-func (c *Classifier) skipEntry(e *scoreEntry, best *atomic.Uint64) bool {
+// refined once with the pair and depth profiles of the document's
+// signature s.
+func (c *Classifier) skipEntry(e *planEntry, sigs []*dtdSig, s *docSig, best *atomic.Uint64) bool {
 	for {
 		limit := math.Float64frombits(best.Load())
 		if c.sigma < limit {
@@ -433,70 +510,51 @@ func (c *Classifier) skipEntry(e *scoreEntry, best *atomic.Uint64) bool {
 			c.pruned.Add(1)
 			return true
 		}
-		if e.refined || e.doc == nil {
+		if e.refined {
 			return false
 		}
 		e.refined = true
-		if ub := e.sig.ubRefined(e.doc, e.acc); ub < e.ub {
+		if ub := sigs[e.slot].ubRefined(s, e.acc); ub < e.ub {
 			e.ub = ub
 		}
 	}
 }
 
-// foldLocked folds the scored entries into a Result in sorted name order,
-// so ties break toward the lexicographically smallest name exactly as
-// exhaustive scoring always has. Every DTD attaining the maximum is
-// guaranteed scored (a skip requires the bound to be strictly below the
-// best), so folding the scored subset is equivalent to folding all.
+// foldLocked folds the scored entries into a Result. Sorted best first,
+// the first candidate is the winner, ties broken toward the
+// lexicographically smallest name exactly as exhaustive scoring always
+// has. Every DTD attaining the maximum is guaranteed scored (a skip
+// requires the bound to be strictly below the best), so folding the scored
+// subset is equivalent to folding all.
 // dtdvet:requires mu:r
-func (c *Classifier) foldLocked(plan []*scoreEntry, fillAll bool) Result {
-	sort.Slice(plan, func(i, j int) bool { return plan[i].sig.name < plan[j].sig.name })
-	var res Result
+func (c *Classifier) foldLocked(plan []planEntry, fillAll bool) Result {
+	scored := plan[:0]
 	for _, e := range plan {
-		if !e.scored {
-			continue
+		if e.scored {
+			scored = append(scored, e)
 		}
-		if e.sim > res.Similarity || res.DTDName == "" {
-			res.Similarity = e.sim
-			res.DTDName = e.sig.name
-		}
+	}
+	res := Result{Candidates: make([]Candidate, len(scored))}
+	for i, e := range scored {
+		res.Candidates[i] = Candidate{Name: c.heads[e.slot].name, Similarity: e.sim}
+	}
+	slices.SortFunc(res.Candidates, byScore)
+	if len(res.Candidates) > 0 {
+		res.DTDName, res.Similarity = res.Candidates[0].Name, res.Candidates[0].Similarity
 	}
 	if res.Similarity == 0 {
 		// All-zero similarities: exhaustive scoring reports the first
 		// registered name, whether or not the index scored it.
-		res.DTDName = c.minNameLocked()
+		res.DTDName = c.minName
 	}
 	res.Classified = res.DTDName != "" && res.Similarity >= c.sigma
-	res.Candidates = make([]Candidate, 0, len(plan))
-	for _, e := range plan {
-		if e.scored {
-			res.Candidates = append(res.Candidates, Candidate{Name: e.sig.name, Similarity: e.sim})
-		}
-	}
-	sort.Slice(res.Candidates, func(i, j int) bool {
-		if res.Candidates[i].Similarity != res.Candidates[j].Similarity {
-			return res.Candidates[i].Similarity > res.Candidates[j].Similarity
-		}
-		return res.Candidates[i].Name < res.Candidates[j].Name
-	})
 	if fillAll {
-		res.All = make(map[string]float64, len(plan))
-		for _, e := range plan {
-			res.All[e.sig.name] = e.sim
+		res.All = make(map[string]float64, len(res.Candidates))
+		for _, cand := range res.Candidates {
+			res.All[cand.Name] = cand.Similarity
 		}
 	}
 	return res
-}
-
-// dtdvet:requires mu:r
-func (c *Classifier) minNameLocked() string {
-	min := ""
-	for name := range c.dtds {
-		if min == "" || name < min {
-			min = name
-		}
-	}
-	return min
 }
 
 // StreamEntry is one registered DTD exposed to the streaming ingest path:
@@ -518,8 +576,8 @@ func (c *Classifier) StreamEntries() []StreamEntry {
 	defer c.mu.RUnlock()
 	out := make([]StreamEntry, 0, len(c.sigs))
 	for _, name := range c.namesLocked() {
-		g := c.sigs[name]
-		out = append(out, StreamEntry{Name: name, RootName: g.rootName, Pool: g.pool, DTD: g.d})
+		g := c.sigs[c.slotOf[name]]
+		out = append(out, StreamEntry{Name: name, RootName: g.d.Name, Pool: g.pool, DTD: g.d})
 	}
 	return out
 }
@@ -553,7 +611,7 @@ func (c *Classifier) FoldStream(scores []StreamScore) Result {
 	}
 	if res.Similarity == 0 && len(scores) > 0 {
 		// Sorted input: the smallest name is the first entry, matching
-		// minNameLocked over the same snapshot.
+		// the classifier's smallest registered name over the same snapshot.
 		res.DTDName = scores[0].Name
 	}
 	res.Classified = res.DTDName != "" && res.Similarity >= c.sigma
@@ -561,12 +619,7 @@ func (c *Classifier) FoldStream(scores []StreamScore) Result {
 	for _, e := range scores {
 		res.Candidates = append(res.Candidates, Candidate{Name: e.Name, Similarity: e.Sim})
 	}
-	sort.Slice(res.Candidates, func(i, j int) bool {
-		if res.Candidates[i].Similarity != res.Candidates[j].Similarity {
-			return res.Candidates[i].Similarity > res.Candidates[j].Similarity
-		}
-		return res.Candidates[i].Name < res.Candidates[j].Name
-	})
+	slices.SortFunc(res.Candidates, byScore)
 	return res
 }
 

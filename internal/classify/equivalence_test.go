@@ -23,7 +23,8 @@ import (
 
 // assertSame classifies doc both ways and fails unless the results agree
 // exactly. It also checks the winner is reported among the scored
-// candidates whenever it scored above zero.
+// candidates whenever it scored above zero, and that no DTD is reported
+// twice.
 func assertSame(t *testing.T, c *Classifier, doc *xmltree.Document, label string) {
 	t.Helper()
 	got := c.Classify(doc)
@@ -33,6 +34,13 @@ func assertSame(t *testing.T, c *Classifier, doc *xmltree.Document, label string
 			label, got.DTDName, got.Similarity, got.Classified,
 			want.DTDName, want.Similarity, want.Classified)
 		return
+	}
+	seen := make(map[string]bool, len(got.Candidates))
+	for _, cand := range got.Candidates {
+		if seen[cand.Name] {
+			t.Errorf("%s: %q scored twice in candidates %v", label, cand.Name, got.Candidates)
+		}
+		seen[cand.Name] = true
 	}
 	if got.Similarity > 0 {
 		found := false

@@ -2,8 +2,8 @@ package classify
 
 // FuzzDocSignature cross-checks the one-pass signature extractor against an
 // independent reference walker on arbitrary parsed documents, with mixed
-// known/unknown labels, varying recursion caps, and stale label stamps from
-// a foreign symbol table.
+// known/unknown labels, varying recursion caps, stale label stamps from a
+// foreign symbol table, and buffers left over from an earlier extraction.
 
 import (
 	"math"
@@ -23,7 +23,6 @@ func refSig(root *xmltree.Node, v intern.View, decay float64, depthCap int) *doc
 	if root == nil || !root.IsElement() {
 		return s
 	}
-	s.rootName = root.Name
 	s.rootID = v.ID(root.Name)
 	type frame struct {
 		n      *xmltree.Node
@@ -92,8 +91,8 @@ func sigClose(a, b float64) bool {
 
 func diffSigs(t *testing.T, label string, got, want *docSig) {
 	t.Helper()
-	if got.rootID != want.rootID || got.rootName != want.rootName {
-		t.Errorf("%s: root (%d, %q), want (%d, %q)", label, got.rootID, got.rootName, want.rootID, want.rootName)
+	if got.rootID != want.rootID {
+		t.Errorf("%s: root %d, want %d", label, got.rootID, want.rootID)
 	}
 	if !sigClose(got.total, want.total) || !sigClose(got.textBonus, want.textBonus) {
 		t.Errorf("%s: total/text (%v, %v), want (%v, %v)", label, got.total, got.textBonus, want.total, want.textBonus)
@@ -126,6 +125,16 @@ func diffSigs(t *testing.T, label string, got, want *docSig) {
 	}
 }
 
+// dirtyDoc fills a signature buffer with labels, pairs, levels and text
+// before the fuzzed extraction reuses it.
+var dirtyDoc = func() *xmltree.Document {
+	doc, err := xmltree.ParseString(`<z><y>t<x><w>u</w><w/></x></y><catalog><product>p</product></catalog><q/><q/></z>`)
+	if err != nil {
+		panic(err)
+	}
+	return doc
+}()
+
 func FuzzDocSignature(f *testing.F) {
 	f.Add(`<catalog><product><name>x</name><price>1</price></product></catalog>`, uint8(4))
 	f.Add(`<a><b><c><d><e/></d></c></b>text</a>`, uint8(2))
@@ -155,9 +164,13 @@ func FuzzDocSignature(f *testing.F) {
 		v := tab.View()
 		before := tab.Len()
 
-		got := extractSig(doc.Root, v, 0.5, depthCap)
+		// Dirty the buffers first: a deeper, wider signature over other
+		// labels must leave nothing behind in the next one.
+		var buf sigBuf
+		buf.extractSig(dirtyDoc.Root, v, 0.9, 64)
+		got := buf.extractSig(doc.Root, v, 0.5, depthCap)
 		want := refSig(doc.Root, v, 0.5, depthCap)
-		diffSigs(t, "fresh", got, want)
+		diffSigs(t, "reused", got, want)
 
 		if tab.Len() != before {
 			t.Errorf("extractSig interned %d symbols; extraction must never extend the table", tab.Len()-before)
@@ -169,7 +182,7 @@ func FuzzDocSignature(f *testing.F) {
 		foreign.Intern("decoy0")
 		foreign.Intern("decoy1")
 		intern.InternDocument(foreign, doc.Root)
-		stamped := extractSig(doc.Root, v, 0.5, depthCap)
+		stamped := buf.extractSig(doc.Root, v, 0.5, depthCap)
 		diffSigs(t, "foreign-stamped", stamped, want)
 	})
 }

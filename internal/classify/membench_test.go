@@ -24,21 +24,33 @@ func memShapeSrc(i int) string {
 <!ELEMENT u%[1]db (para)>`, i)
 }
 
-// BenchmarkClassifyIndexMemory100k reports the resident cost of the
-// candidate-pruning index alone — dtdSig structs, the sigs map and the
-// inverted posting lists — per registered DTD, at 100k DTDs. Everything a
-// registration shares or amortizes (the DTD AST, the evaluator pool, the
-// symbol table) is built once per shape before the measurement, so the
-// bytes/DTD number is the marginal footprint a deployment pays for each
-// additional DTD in a many-DTD registry; DESIGN.md §12 quotes it.
+// BenchmarkClassifyIndexMemory reports the resident cost of the
+// candidate-pruning index alone — dtdSig structs, the slot arrays and the
+// inverted posting lists — per registered DTD. Everything a registration
+// shares or amortizes (the DTD AST, the evaluator pool, the symbol table)
+// is built before the measurement, so the bytes/DTD number is the marginal
+// footprint a deployment pays for each additional DTD in a many-DTD
+// registry; DESIGN.md §12 quotes it. Two registries:
+//
+//   - Shapes16: 100,000 DTDs cycling through 16 shapes, so posting lists
+//     grow long while the symbol table stays small;
+//   - Fresh: 5,000 DTDs that each bring their own labels, as in a real
+//     registry, so the symbol table grows with the registry and a
+//     signature sized by the table would grow with it.
 //
 // Not in the CI bench set: forced GCs make its ns/op meaningless and the
-// 100k inner loop makes it slow. Run by hand:
+// inner loops make it slow. Run by hand:
 //
-//	go test -run xxx -bench ClassifyIndexMemory100k ./internal/classify
-func BenchmarkClassifyIndexMemory100k(b *testing.B) {
-	const n = 100_000
-	const shapes = 16
+//	go test -run xxx -bench ClassifyIndexMemory ./internal/classify
+func BenchmarkClassifyIndexMemory(b *testing.B) {
+	b.Run("Shapes16", func(b *testing.B) { benchIndexMemory(b, 100_000, 16) })
+	b.Run("Fresh", func(b *testing.B) { benchIndexMemory(b, 5_000, 5_000) })
+}
+
+// benchIndexMemory registers n DTDs cycling through the given number of
+// shapes, each built with its evaluator pool beforehand, and reports the
+// heap the registrations keep per DTD.
+func benchIndexMemory(b *testing.B, n, shapes int) {
 	cfg := similarity.DefaultConfig()
 	tab := intern.NewTable()
 	type shape struct {
@@ -67,18 +79,15 @@ func BenchmarkClassifyIndexMemory100k(b *testing.B) {
 		b.StartTimer()
 		for i := 0; i < n; i++ {
 			s := built[i%shapes]
-			name := fmt.Sprintf("dtd-%06d", i)
-			g := buildSig(name, s.d, s.pool)
+			g := buildSig(fmt.Sprintf("dtd-%06d", i), s.d, s.pool)
 			c.mu.Lock()
-			c.dtds[name] = s.d
-			c.sigs[name] = g
-			c.indexLocked(g)
+			c.setLocked(g)
 			c.mu.Unlock()
 		}
 		b.StopTimer()
 		runtime.GC()
 		runtime.ReadMemStats(&m1)
-		bytesPerDTD = float64(m1.HeapAlloc-m0.HeapAlloc) / n
+		bytesPerDTD = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(n)
 		b.StartTimer()
 		runtime.KeepAlive(c)
 	}

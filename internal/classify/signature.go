@@ -4,9 +4,11 @@
 // registered DTD per document. Both sides get a cheap structural summary
 // over interned label IDs:
 //
-//   - a dtdSig is computed once per DTD at Set time: the declared root,
-//     the label alphabet as a bitset, per-element child alphabets, and a
-//     reachability depth — plus the similarity.Bound constants;
+//   - a dtdSig is computed once per DTD at Set time: the root gate, the
+//     label alphabet, the declared elements, the (parent, child) pairs the
+//     content models admit, and a reachability depth — plus the
+//     similarity.Bound constants. Every set is a sorted ID slice sized by
+//     the DTD, never by the symbol table;
 //   - a docSig is extracted in one pass over the document tree: per-label
 //     and per-(parent,child)-pair decayed weights, a per-level weight
 //     profile, and the text bonus.
@@ -21,7 +23,7 @@
 package classify
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"dtdevolve/internal/dtd"
@@ -30,60 +32,18 @@ import (
 	"dtdevolve/internal/xmltree"
 )
 
-// labelBits is a dense bitset over interned label IDs.
-type labelBits []uint64
-
-// makeLabelBits returns a bitset containing the given IDs.
-func makeLabelBits(ids []int32) labelBits {
-	var max int32
-	for _, id := range ids {
-		if id > max {
-			max = id
-		}
-	}
-	b := make(labelBits, int(max)/64+1)
-	for _, id := range ids {
-		if id > 0 {
-			b[int(id)>>6] |= 1 << (uint(id) & 63)
-		}
-	}
-	return b
-}
-
-// has reports whether id is in the set; None and out-of-range IDs are not.
-func (b labelBits) has(id int32) bool {
-	if id <= 0 {
-		return false
-	}
-	w := int(id) >> 6
-	return w < len(b) && b[w]&(1<<(uint(id)&63)) != 0
-}
-
-// dtdSig is the structural signature of one registered DTD, built outside
-// the classifier lock at Set time. All fields are immutable afterwards;
-// the classifier's inverted index stores pointers to it.
-type dtdSig struct {
-	name  string
-	d     *dtd.DTD
-	pool  *similarity.Pool
+// slotHead is what candidate discovery reads for every DTD a document's
+// labels touch: the name for tie-breaks, the root gate and the inputs of
+// the flat bound. The classifier keeps one per slot in a dense array, so a
+// DTD the gate or the flat bound rejects is never dereferenced.
+type slotHead struct {
+	name string
+	// gate is the declared root's label ID: a document must be rooted
+	// there. 0 marks a DTD without a declared root, whose declared set
+	// decides instead; -1 a root the DTD does not declare, which no
+	// document can match.
+	gate  int32
 	bound similarity.Bound
-
-	// rootName is the declared root; "" matches any document root.
-	rootName string
-	// labels is the sorted distinct alphabet (declared element names plus
-	// every label referenced by a content model) — the posting keys.
-	labels []int32
-	// declared holds the declared element names; a document can only score
-	// non-zero when its root tag is in here (exact matching).
-	declared labelBits
-	// childAlpha maps a declared element's ID to the alphabet of labels its
-	// content model admits as direct children (the declared set for ANY and
-	// nil models). Elements with no admissible children (EMPTY, #PCDATA)
-	// map to an empty set.
-	childAlpha map[int32]labelBits
-	// reach is the deepest document level at which a common component can
-	// occur: matched nodes form childAlpha chains from the declared root.
-	reach int
 	// refsUndeclared is set when some content model references a label the
 	// DTD never declares. The aligner matches such an element without
 	// recursing, so its subtree contributes neither common nor plus weight
@@ -91,53 +51,95 @@ type dtdSig struct {
 	refsUndeclared bool
 }
 
+// dtdSig is the structural signature of one registered DTD, built outside
+// the classifier lock at Set time. All fields are immutable afterwards.
+type dtdSig struct {
+	slotHead
+	d    *dtd.DTD
+	pool *similarity.Pool
+
+	// labels is the sorted distinct alphabet (declared element names plus
+	// every label referenced by a content model) — the posting keys.
+	labels []int32
+	// declared holds the declared element IDs, sorted; a document can only
+	// score non-zero when its root tag is in here (exact matching).
+	declared []int32
+	// pairs holds parent<<32|child for every child label a declared
+	// element's content model admits, sorted — the docSig.pairs encoding.
+	// anyParents holds the sorted IDs of the declared elements whose model
+	// is ANY (or missing): they admit every declared child, which pairs
+	// does not spell out.
+	pairs      []uint64
+	anyParents []int32
+	// reach is the deepest document level at which a common component can
+	// occur: matched nodes form child-alphabet chains from the declared
+	// root.
+	reach int
+}
+
+// pairKey encodes a (parent, child) label pair; keys sort by parent, then
+// child.
+func pairKey(parent, child int32) uint64 {
+	return uint64(uint32(parent))<<32 | uint64(uint32(child))
+}
+
 // buildSig computes the signature of d under the pool's configuration.
 // The pool has already interned every label of d, so the snapshot resolves
 // them all.
 func buildSig(name string, d *dtd.DTD, pool *similarity.Pool) *dtdSig {
-	g := &dtdSig{name: name, d: d, pool: pool, bound: pool.Bound(), rootName: d.Name}
+	g := &dtdSig{slotHead: slotHead{name: name, bound: pool.Bound()}, d: d, pool: pool}
 	v := pool.Table().View()
-	declaredIDs := make([]int32, 0, len(d.Elements))
-	labelSet := make(map[int32]bool, 2*len(d.Elements))
-	for el := range d.Elements {
-		id := v.ID(el)
-		declaredIDs = append(declaredIDs, id)
-		labelSet[id] = true
-	}
-	g.declared = makeLabelBits(declaredIDs)
-	g.childAlpha = make(map[int32]labelBits, len(d.Elements))
+	g.declared = make([]int32, 0, len(d.Elements))
+	g.labels = make([]int32, 0, 2*len(d.Elements))
 	for el, model := range d.Elements {
 		id := v.ID(el)
+		if id > 0 {
+			g.declared = append(g.declared, id)
+			g.labels = append(g.labels, id)
+		}
 		if model == nil || model.Kind == dtd.Any {
-			g.childAlpha[id] = g.declared // ANY admits every declared element
+			if id > 0 {
+				g.anyParents = append(g.anyParents, id)
+			}
 			continue
 		}
-		kids := model.Labels()
-		ids := make([]int32, 0, len(kids))
-		for _, k := range kids {
-			ids = append(ids, v.ID(k))
-			labelSet[v.ID(k)] = true
+		for _, k := range model.Labels() {
+			if kid := v.ID(k); kid > 0 {
+				g.labels = append(g.labels, kid)
+				if id > 0 {
+					g.pairs = append(g.pairs, pairKey(id, kid))
+				}
+			}
 			if _, ok := d.Elements[k]; !ok {
 				g.refsUndeclared = true
 			}
 		}
-		g.childAlpha[id] = makeLabelBits(ids)
 	}
-	g.labels = make([]int32, 0, len(labelSet))
-	for id := range labelSet {
-		if id > 0 {
-			g.labels = append(g.labels, id)
+	slices.Sort(g.declared)
+	slices.Sort(g.labels)
+	g.labels = slices.Clip(slices.Compact(g.labels))
+	slices.Sort(g.pairs)
+	slices.Sort(g.anyParents)
+	if d.Name != "" {
+		g.gate = -1
+		if id := v.ID(d.Name); g.declares(id) {
+			g.gate = id
 		}
 	}
-	sort.Slice(g.labels, func(i, j int) bool { return g.labels[i] < g.labels[j] })
 	g.reach = computeReach(d, g.bound.DepthCap())
 	return g
 }
 
+// declares reports whether id is a declared element of the DTD.
+func (g *dtdSig) declares(id int32) bool {
+	_, ok := slices.BinarySearch(g.declared, id)
+	return ok
+}
+
 // computeReach bounds the deepest document level at which a common
 // component can occur against d: matched document nodes form a connected
-// tree whose labels follow childAlpha edges from the declared root, so no
-// level beyond the longest such chain (capped at the recursion cap) can
+// tree whose labels follow child-alphabet edges from the declared root, so
+// no level beyond the longest such chain (capped at the recursion cap) can
 // hold a match. A DTD without a declared root matches any declared element
 // at level 0, so only the cap applies.
 func computeReach(d *dtd.DTD, depthCap int) int {
@@ -196,8 +198,7 @@ func sameNameSet(a, b map[string]bool) bool {
 // the recursion cap (which the aligner never charges as common) are not
 // walked.
 type docSig struct {
-	rootID   int32
-	rootName string
+	rootID int32
 	// labels / labelW: distinct interned element labels and the total
 	// weight carried on each (sorted by ID, so accumulation over postings
 	// is deterministic).
@@ -217,6 +218,20 @@ type docSig struct {
 	textBonus float64
 }
 
+// sigBuf is extractSig's storage, reused across documents: the signature
+// it fills, the decay powers and the per-label and per-pair weight maps.
+// A reused extraction allocates nothing once the buffers have grown to the
+// documents' sizes.
+type sigBuf struct {
+	sig docSig
+	pow []float64
+	lw  map[int32]float64
+	pw  map[uint64]float64
+	// v and depthCap hold the running extraction's parameters for walk.
+	v        intern.View
+	depthCap int
+}
+
 // sigID resolves a node's interned tag ID from the snapshot, trusting the
 // stamped LabelID only when it verifiably belongs to this table. Unknown
 // tags stay None — signature extraction never extends the table.
@@ -228,72 +243,90 @@ func sigID(n *xmltree.Node, v intern.View) int32 {
 }
 
 // extractSig computes the signature of the subtree rooted at root against
-// the label alphabet in v, with the given decay and recursion cap.
-func extractSig(root *xmltree.Node, v intern.View, decay float64, depthCap int) *docSig {
-	s := &docSig{levels: make([]float64, depthCap+1)}
+// the label alphabet in v, with the given decay and recursion cap. The
+// result lives in b and is valid until b's next extraction.
+func (b *sigBuf) extractSig(root *xmltree.Node, v intern.View, decay float64, depthCap int) *docSig {
+	s := &b.sig
+	s.rootID, s.total, s.textBonus = intern.None, 0, 0
+	s.levels = resize(s.levels, depthCap+1)
+	clear(s.levels)
+	s.labels, s.labelW = s.labels[:0], s.labelW[:0]
+	s.pairs, s.pairW = s.pairs[:0], s.pairW[:0]
 	if root == nil || !root.IsElement() {
 		return s
 	}
-	s.rootName = root.Name
 	s.rootID = sigID(root, v)
-	pow := make([]float64, depthCap+2)
+	b.pow = resize(b.pow, depthCap+2)
 	p := 1.0
-	for i := range pow {
-		pow[i] = p
+	for i := range b.pow {
+		b.pow[i] = p
 		p *= decay
 	}
-	lw := make(map[int32]float64)
-	pw := make(map[uint64]float64)
-	var walk func(n *xmltree.Node, parent int32, level int)
-	walk = func(n *xmltree.Node, parent int32, level int) {
-		id := sigID(n, v)
-		w := pow[level]
-		s.levels[level] += w
-		s.total += w
-		if id != intern.None {
-			lw[id] += w
-			if level > 0 && parent != intern.None {
-				pw[uint64(uint32(parent))<<32|uint64(uint32(id))] += w
-			}
-		}
-		if level >= depthCap {
-			return // deeper levels can never be common components
-		}
-		hasText := false
-		for _, c := range n.Children {
-			switch c.Kind {
-			case xmltree.Element:
-				walk(c, id, level+1)
-			case xmltree.Text:
-				if !hasText && strings.TrimSpace(c.Data) != "" {
-					hasText = true
-				}
-			}
-		}
-		if hasText {
-			s.textBonus += pow[level+1]
-		}
+	if b.lw == nil {
+		b.lw = make(map[int32]float64)
+		b.pw = make(map[uint64]float64)
 	}
-	walk(root, intern.None, 0)
-	s.labels = make([]int32, 0, len(lw))
-	for id := range lw {
+	clear(b.lw)
+	clear(b.pw)
+	b.v, b.depthCap = v, depthCap
+	b.walk(root, intern.None, 0)
+	b.v = intern.View{}
+	for id := range b.lw {
 		s.labels = append(s.labels, id)
 	}
-	sort.Slice(s.labels, func(i, j int) bool { return s.labels[i] < s.labels[j] })
-	s.labelW = make([]float64, len(s.labels))
-	for i, id := range s.labels {
-		s.labelW[i] = lw[id]
+	slices.Sort(s.labels)
+	for _, id := range s.labels {
+		s.labelW = append(s.labelW, b.lw[id])
 	}
-	s.pairs = make([]uint64, 0, len(pw))
-	for k := range pw {
+	for k := range b.pw {
 		s.pairs = append(s.pairs, k)
 	}
-	sort.Slice(s.pairs, func(i, j int) bool { return s.pairs[i] < s.pairs[j] })
-	s.pairW = make([]float64, len(s.pairs))
-	for i, k := range s.pairs {
-		s.pairW[i] = pw[k]
+	slices.Sort(s.pairs)
+	for _, k := range s.pairs {
+		s.pairW = append(s.pairW, b.pw[k])
 	}
 	return s
+}
+
+// walk accumulates the element n at level under the given parent label.
+func (b *sigBuf) walk(n *xmltree.Node, parent int32, level int) {
+	s := &b.sig
+	id := sigID(n, b.v)
+	w := b.pow[level]
+	s.levels[level] += w
+	s.total += w
+	if id != intern.None {
+		b.lw[id] += w
+		if level > 0 && parent != intern.None {
+			b.pw[pairKey(parent, id)] += w
+		}
+	}
+	if level >= b.depthCap {
+		return // deeper levels can never be common components
+	}
+	hasText := false
+	for _, c := range n.Children {
+		switch c.Kind {
+		case xmltree.Element:
+			b.walk(c, id, level+1)
+		case xmltree.Text:
+			if !hasText && strings.TrimSpace(c.Data) != "" {
+				hasText = true
+			}
+		}
+	}
+	if hasText {
+		s.textBonus += b.pow[level+1]
+	}
+}
+
+// resize returns s with length n, reusing its array when it is large
+// enough; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // pminFor is the plus lower bound given an upper bound cnodes on the
@@ -301,8 +334,8 @@ func extractSig(root *xmltree.Node, v intern.View, decay float64, depthCap int) 
 // plus — unless some model references an undeclared label, in which case
 // matched-but-unrecursed subtrees can evade both sides and nothing can be
 // promised.
-func (g *dtdSig) pminFor(s *docSig, cnodes float64) float64 {
-	if g.refsUndeclared {
+func (h *slotHead) pminFor(s *docSig, cnodes float64) float64 {
+	if h.refsUndeclared {
 		return 0
 	}
 	p := s.total - cnodes
@@ -317,27 +350,38 @@ func (g *dtdSig) pminFor(s *docSig, cnodes float64) float64 {
 // index. Every matched element's label is in the alphabet, so the
 // element-common weight is at most acc; character data adds at most the
 // text bonus.
-func (g *dtdSig) ubFlat(s *docSig, acc float64) float64 {
-	return g.bound.Max(acc+s.textBonus, g.pminFor(s, acc))
+func (h *slotHead) ubFlat(s *docSig, acc float64) float64 {
+	return h.bound.Max(acc+s.textBonus, h.pminFor(s, acc))
 }
 
 // ubRefined tightens the element-common cap with two more signature
 // facts before paying for an alignment:
 //
 //   - every matched non-root element sits under a matched parent, so its
-//     (parent, child) label pair must be admitted by the parent's child
-//     alphabet — the root contributes its own weight 1;
+//     (parent, child) label pair must be admitted by the parent's content
+//     model — the root contributes its own weight 1;
 //   - every matched element sits at a level reachable from the declared
 //     root, so weight beyond the reach prefix cannot be common.
 //
 // Both are upper bounds on the same quantity; the minimum (with acc)
-// applies.
+// applies. The pair cap merge-joins the document's sorted pairs with the
+// DTD's, adding the admitted weights in the document's pair order.
 func (g *dtdSig) ubRefined(s *docSig, acc float64) float64 {
 	pairSum := 1.0
+	j, k := 0, 0
 	for i, key := range s.pairs {
+		for j < len(g.pairs) && g.pairs[j] < key {
+			j++
+		}
+		if j < len(g.pairs) && g.pairs[j] == key {
+			pairSum += s.pairW[i]
+			continue
+		}
 		parent := int32(key >> 32)
-		child := int32(uint32(key))
-		if alpha, ok := g.childAlpha[parent]; ok && alpha.has(child) {
+		for k < len(g.anyParents) && g.anyParents[k] < parent {
+			k++
+		}
+		if k < len(g.anyParents) && g.anyParents[k] == parent && g.declares(int32(uint32(key))) {
 			pairSum += s.pairW[i]
 		}
 	}

@@ -16,9 +16,11 @@
 //   - Every root-to-accept path of the alignment automata satisfies
 //     c + m ≥ 1 + RootRequired, where RootRequired is the decayed,
 //     depth-capped required weight of the declared root's content model:
-//     each mandatory model part is either matched (contributing its weight
-//     to c) or skipped on an epsilon edge costing at least its capped
-//     required weight in m. Hence m ≥ max(0, 1 + RootRequired − c).
+//     each mandatory reference is either matched (contributing 1 to c
+//     plus what its own content costs) or skipped on an epsilon edge
+//     costing its required weight in m, and RootRequired charges each
+//     reference the cheaper of the two. Hence m ≥ max(0, 1 +
+//     RootRequired − c).
 //
 // The depth cap matters: the aligner stops recursing at MaxDepth, so the
 // required weight feeding the bound must be computed with the same cap —
@@ -133,9 +135,14 @@ type reqCapKey struct {
 // cappedRequiredModelWeight is requiredModelWeight under the aligner's
 // depth cap: the minimal mandatory weight of a content model aligned in a
 // frame at the given depth, counting nothing below MaxDepth (frames there
-// never run, so the aligner never charges for them). Recursion needs no
-// cycle detection — depth strictly increases through every Name — and the
-// memo keeps the cost at O(elements × MaxDepth).
+// never run, so the aligner never charges for them). A reference costs the
+// cheaper of matching it, 1 plus its declaration's weight a level down,
+// and skipping it, requiredWeight: on a cycle of required elements the
+// skip charges the cycle once, which can be far less than matching it to
+// the cap (at decay 0.5, `e (e, e)` matched down 64 levels would cost
+// 64). Without a cycle the two are equal. Recursion needs no cycle
+// detection — depth strictly increases through every Name — and the memo
+// keeps the cost at O(elements × MaxDepth).
 func (e *Evaluator) cappedRequiredModelWeight(c *dtd.Content, depth int, memo map[reqCapKey]float64) float64 {
 	if c == nil || depth >= e.cfg.MaxDepth {
 		return 0
@@ -149,6 +156,9 @@ func (e *Evaluator) cappedRequiredModelWeight(c *dtd.Content, depth int, memo ma
 		w := 1.0
 		if decl, ok := e.d.Elements[c.Name]; ok {
 			w += e.cfg.Decay * e.cappedRequiredModelWeight(decl, depth+1, memo)
+		}
+		if skip := e.requiredWeight(c.Name); skip < w {
+			w = skip
 		}
 		memo[key] = w
 		return w

@@ -6,6 +6,7 @@ import (
 
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/gen"
+	"dtdevolve/internal/xmltree"
 )
 
 // TestBoundDominatesEvaluatedSimilarity is the soundness property the
@@ -51,6 +52,42 @@ func TestBoundDominatesEvaluatedSimilarity(t *testing.T) {
 					t.Errorf("cfg %d doc %d: global %g exceeds bound %g", ci, di, res.Global, ub)
 				}
 			}
+		}
+	}
+}
+
+// TestBoundRequiredCycles pins the bound on DTDs whose root requires
+// itself: the aligner skips such a reference at its cycle-cut required
+// weight, so RootRequired must not charge the cycle once per level down to
+// the cap. Both documents scored above a bound that did: 0.249 against
+// 0.015, and at decay 1 0.5 against 0.031.
+func TestBoundRequiredCycles(t *testing.T) {
+	cases := []struct {
+		dtd, root, doc string
+		decay          float64
+	}{
+		{`<!ELEMENT e (e+, e, g)+> <!ELEMENT g ANY> <!ELEMENT c EMPTY>`, "e",
+			`<e><a/><g>text<d><e><e/><g>text</g></e><e/><a><a/></a></d><a>text<e><c/><c/><a/></e></a></g></e>`, 0.5},
+		{`<!ELEMENT b (b+, c?)>`, "b", `<b><c/></b>`, 1},
+	}
+	for _, tc := range cases {
+		d := dtd.MustParse(tc.dtd)
+		d.Name = tc.root
+		cfg := DefaultConfig()
+		cfg.Decay = tc.decay
+		pool := NewPool(d, cfg)
+		b := pool.Bound()
+		doc, err := xmltree.ParseString(tc.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := pool.Evaluate(doc.Root)
+		tr := res.Triple
+		if got, want := tr.Common+tr.Minus, 1+b.RootRequired(); got < want-1e-9 {
+			t.Errorf("%s at decay %g: c+m = %g < 1+RootRequired = %g", tc.root, tc.decay, got, want)
+		}
+		if ub := b.Max(tr.Common, tr.Plus); res.Global > ub+1e-9 {
+			t.Errorf("%s at decay %g: global %g exceeds bound %g", tc.root, tc.decay, res.Global, ub)
 		}
 	}
 }

@@ -134,12 +134,6 @@ func (se *StreamEval) Reset() {
 	se.closed = false
 }
 
-// Declared reports whether name is declared by the DTD under evaluation.
-func (se *StreamEval) Declared(name string) bool {
-	_, ok := se.e.d.Elements[name]
-	return ok
-}
-
 // Start opens an element with interned label id and tag name.
 func (se *StreamEval) Start(id int32, name string) {
 	if se.n == len(se.frames) {
