@@ -10,10 +10,9 @@
 // signatures over interned label IDs in an inverted index, so a
 // classification extracts the document's signature in one cheap pass,
 // ranks DTDs by signature overlap, and runs the expensive DP alignment
-// only on candidates that could still win. The default mode is provably
-// exact — a DTD is skipped only when a conservative upper bound on its
-// attainable similarity is below both the best confirmed score and σ — and
-// an approximate mode takes a fixed top-K for latency-critical serving.
+// only on candidates that could still win. It is provably exact: a DTD is
+// skipped only when a conservative upper bound on its attainable
+// similarity is below both the best confirmed score and σ.
 //
 // The package also provides the rigid validator-based classifier the paper
 // argues against ("classification based on validators is very rigid, with a

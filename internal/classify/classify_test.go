@@ -2,6 +2,7 @@ package classify
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -188,5 +189,31 @@ func TestClassifyConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestSetNilModel registers a DTD built in Go whose root declaration holds
+// a nil model. Registration must not panic, the pruned classification must
+// agree with the exhaustive one, and the scores read the nil model as ANY:
+// a declared child scores 1, an undeclared one 2/3.
+func TestSetNilModel(t *testing.T) {
+	d := dtd.NewDTD("r")
+	d.Elements["r"] = nil
+	d.Elements["a"] = dtd.NewEmpty()
+	c := New(0.5, similarity.DefaultConfig())
+	c.Set("x", d)
+	for src, sim := range map[string]float64{`<r><a/></r>`: 1, `<r/>`: 1, `<r><b/></r>`: 2.0 / 3} {
+		doc, err := xmltree.ParseString(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := c.Classify(doc), c.ClassifyExhaustive(doc)
+		if got.DTDName != want.DTDName || got.Similarity != want.Similarity || got.Classified != want.Classified {
+			t.Errorf("%s: Classify (%q, %v, %v) != ClassifyExhaustive (%q, %v, %v)", src,
+				got.DTDName, got.Similarity, got.Classified, want.DTDName, want.Similarity, want.Classified)
+		}
+		if math.Abs(got.Similarity-sim) > 1e-12 {
+			t.Errorf("%s: similarity %v, want %v", src, got.Similarity, sim)
+		}
 	}
 }

@@ -8,8 +8,9 @@
 //   - at pool-compile time, every element name and content-model label of
 //     a DTD is interned (InternDTD), so the alignment automata carry IDs
 //     on their symbol edges;
-//   - at ingest time, tags of incoming documents that the DTDs never
-//     declared are interned on first sight (Intern), extending the table.
+//   - at commit time, tags of incoming documents that the DTDs never
+//     declared are interned (InternDocument, or Overlay.Commit),
+//     extending the table in journal order.
 //
 // Reads (ID, Name, NameIs) are lock-free: an open-addressing index over an
 // append-only name array, published through an atomic pointer. Writers
@@ -223,21 +224,71 @@ func (t *Table) Intern(name string) int32 {
 	return id
 }
 
-// InternBytes returns the ID and canonical interned string of the symbol
-// spelled by b, interning it when new. The found path is lock-free and does
-// not copy b, so the streaming parser can resolve element names straight
-// out of its read window. Only the first sighting of a name allocates. An
-// empty b returns (None, "").
-func (t *Table) InternBytes(b []byte) (int32, string) {
+// Overlay resolves one document's names against a View without writing
+// to the table, so a document that never commits leaves no symbols
+// behind. A name the view holds gets its ID. A new name gets the ID it
+// would receive if the document's new names were interned now, in order of
+// first sighting: the view's length + 1 + its rank among them. Those IDs
+// are positive and name nothing the view holds, and interning Names into a
+// table that has not grown since the view assigns exactly them (Commit).
+// The found path does not copy the name; only a name's first sighting
+// allocates. An Overlay satisfies xmltree.Interner; it is not safe for
+// concurrent use.
+type Overlay struct {
+	v     View
+	fresh map[string]int32 // new name → provisional ID
+	names []string         // new names, in order of first sighting
+}
+
+// Reset starts a new document against v.
+func (o *Overlay) Reset(v View) {
+	o.v = v
+	clear(o.fresh)
+	o.names = o.names[:0]
+}
+
+// InternBytes returns the ID and canonical string of the name spelled by
+// b: the view's, or a provisional one for a name the view lacks. An empty
+// b returns (None, "").
+func (o *Overlay) InternBytes(b []byte) (int32, string) {
 	if len(b) == 0 {
 		return None, ""
 	}
-	s := t.state.Load()
+	s := o.v.s
 	if id := find(s, uint32(maphash.Bytes(s.seed, b)), b); id != None {
 		return id, s.names[id]
 	}
-	id := t.Intern(string(b))
-	return id, t.Name(id)
+	if id, ok := o.fresh[string(b)]; ok {
+		return id, o.names[int(id)-len(s.names)]
+	}
+	if o.fresh == nil {
+		o.fresh = make(map[string]int32)
+	}
+	name := string(b)
+	id := int32(len(s.names) + len(o.names))
+	o.fresh[name] = id
+	o.names = append(o.names, name)
+	return id, name
+}
+
+// Names returns the new names in order of first sighting.
+func (o *Overlay) Names() []string { return o.names }
+
+// Commit interns Names into t and maps the provisional ID of each new name
+// t gave another ID to that ID: nil when there is none, as when t had not
+// grown since the view.
+func (o *Overlay) Commit(t *Table) map[int32]int32 {
+	t.InternAll(o.names)
+	var m map[int32]int32
+	for i, name := range o.names {
+		if id, p := t.ID(name), int32(o.v.Len()+1+i); id != p {
+			if m == nil {
+				m = make(map[int32]int32, len(o.names))
+			}
+			m[p] = id
+		}
+	}
+	return m
 }
 
 // InternAll interns every name in names in slice order, taking the write

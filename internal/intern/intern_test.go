@@ -251,8 +251,9 @@ func TestInternDocumentRestampsAfterForeignStamp(t *testing.T) {
 	}
 }
 
-// TestInternConcurrentMixed runs writers through Intern, InternBytes and
-// InternAll on one overlapping name set while readers take views. IDs must
+// TestInternConcurrentMixed runs writers through Intern, an Overlay's
+// names and InternAll on one overlapping name set while readers take
+// views. IDs must
 // come out dense, every name must round-trip, and a view must never
 // resolve a symbol interned after it was taken. Run with -race.
 func TestInternConcurrentMixed(t *testing.T) {
@@ -274,10 +275,13 @@ func TestInternConcurrentMixed(t *testing.T) {
 						return
 					}
 				case 1:
-					if id, s := tab.InternBytes([]byte(n)); s != n || tab.Name(id) != n {
-						t.Errorf("InternBytes(%q) = %d, %q", n, id, s)
+					var ov Overlay
+					ov.Reset(tab.View())
+					if id, s := ov.InternBytes([]byte(n)); s != n || len(ov.Names()) == 0 && tab.Name(id) != n {
+						t.Errorf("Overlay.InternBytes(%q) = %d, %q", n, id, s)
 						return
 					}
+					tab.InternAll(ov.Names())
 				default:
 					if batch = append(batch, n); len(batch) == cap(batch) {
 						tab.InternAll(batch)
@@ -377,7 +381,7 @@ func TestInternGrowthKeepsIDs(t *testing.T) {
 }
 
 // TestLookupAllocs pins the found paths at 0 allocs: the streaming parser
-// resolves every element name through InternBytes, and signatures resolve
+// resolves every element name through an Overlay, and signatures resolve
 // every tag through a View.
 func TestLookupAllocs(t *testing.T) {
 	tab := NewTable()
@@ -386,8 +390,10 @@ func TestLookupAllocs(t *testing.T) {
 	}
 	b := []byte("e500")
 	v := tab.View()
+	var ov Overlay
+	ov.Reset(v)
 	allocs := testing.AllocsPerRun(100, func() {
-		if id, _ := tab.InternBytes(b); id == None {
+		if id, _ := ov.InternBytes(b); id == None {
 			t.Fatal("e500 not found")
 		}
 		if tab.ID("e7") == None || v.ID("e7") == None || tab.Intern("e9") == None {
@@ -396,6 +402,54 @@ func TestLookupAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("found-path lookups allocate %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestOverlayProvisionalIDs pins the overlay's contract: known names keep
+// their IDs, new names get view length + 1 + their rank of first sighting,
+// a repeat sighting returns the same ID and string, and interning Names
+// into the unchanged table assigns exactly the provisional IDs, so none
+// moved. Once other names are interned first, Commit maps each provisional
+// ID to the one the table gave its name.
+func TestOverlayProvisionalIDs(t *testing.T) {
+	tab := NewTable()
+	tab.InternAll([]string{"a", "b"})
+	var ov Overlay
+	ov.Reset(tab.View())
+	for _, c := range []struct {
+		name string
+		id   int32
+	}{{"b", 2}, {"x", 3}, {"a", 1}, {"y", 4}, {"x", 3}, {"", None}} {
+		if id, s := ov.InternBytes([]byte(c.name)); id != c.id || s != c.name {
+			t.Errorf("InternBytes(%q) = %d, %q; want %d", c.name, id, s, c.id)
+		}
+	}
+	if got := fmt.Sprint(ov.Names()); got != "[x y]" {
+		t.Errorf("Names = %s, want [x y]", got)
+	}
+	if tab.Len() != 2 {
+		t.Errorf("the overlay wrote to the table: %d symbols", tab.Len())
+	}
+	if m := ov.Commit(tab); m != nil {
+		t.Errorf("Commit into the unchanged table moved %v, want nil", m)
+	}
+	if tab.ID("x") != 3 || tab.ID("y") != 4 {
+		t.Errorf("interned x, y as %d, %d; want the provisional 3, 4", tab.ID("x"), tab.ID("y"))
+	}
+
+	// The document brings z and v; another writer interns v and w before
+	// it commits.
+	ov.Reset(tab.View())
+	for _, n := range []string{"z", "y", "a", "v"} {
+		ov.InternBytes([]byte(n))
+	}
+	if got := fmt.Sprint(ov.Names()); got != "[z v]" {
+		t.Fatalf("Names = %s, want [z v]", got)
+	}
+	tab.InternAll([]string{"v", "w"})
+	// Provisional z = 5, v = 6; the table holds v = 5, w = 6, z = 7.
+	if got, want := fmt.Sprint(ov.Commit(tab)), fmt.Sprint(map[int32]int32{5: 7, 6: 5}); got != want {
+		t.Errorf("Commit moved %s, want %s", got, want)
 	}
 }
 
@@ -422,16 +476,18 @@ func BenchmarkViewID(b *testing.B) {
 }
 
 // BenchmarkInternBytesFound is the found-path lookup the streaming parser
-// runs per element name.
+// runs per element name, through an Overlay.
 func BenchmarkInternBytesFound(b *testing.B) {
 	tab, names := benchTable()
 	raw := make([][]byte, len(names))
 	for i, n := range names {
 		raw[i] = []byte(n)
 	}
+	var ov Overlay
+	ov.Reset(tab.View())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if id, _ := tab.InternBytes(raw[i%len(raw)]); id == None {
+		if id, _ := ov.InternBytes(raw[i%len(raw)]); id == None {
 			b.Fatal("miss")
 		}
 	}

@@ -44,6 +44,8 @@ package record
 // BenchmarkStreamIngest).
 
 import (
+	"slices"
+
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/intern"
 )
@@ -334,6 +336,74 @@ func (sr *StreamRecorder) CommitTo(lane int, r *Recorder) DocResult {
 	r.docs++
 	r.invalidMass += res.InvalidRatio()
 	return res
+}
+
+// Relabel rewrites lane i's delta so that every child label keyed by an
+// ID in m is keyed by m's value instead, before CommitTo. A streamed run
+// keys the labels its table lacked by provisional IDs (intern.Overlay);
+// when the table gave them other IDs by commit time, the delta must carry
+// those. ID sets are re-sorted and their keys re-packed, so the merge
+// leaves exactly the state Record(doc) would under the final IDs. Element
+// IDs need no rewrite: a lane holds deltas only for names its DTD
+// declares, which were interned with it.
+func (sr *StreamRecorder) Relabel(lane int, m map[int32]int32) {
+	for _, ld := range sr.lanes[lane].touched {
+		relabel(ld.delta, m)
+	}
+}
+
+// relabel rewrites the label IDs of es, and of the nil-records it holds,
+// through m (identity for an ID m lacks).
+func relabel(es *elemStats, m map[int32]int32) {
+	to := func(id int32) int32 {
+		if x, ok := m[id]; ok {
+			return x
+		}
+		return id
+	}
+	labels := make(map[int32]*labelAgg, len(es.labels))
+	for id, la := range es.labels {
+		labels[to(id)] = la
+		if la.child != nil {
+			relabel(la.child, m)
+		}
+	}
+	es.labels = labels
+	seqs := make(map[string]*seqAgg, len(es.seqs))
+	for _, sa := range es.seqs {
+		seqs[string(relabelSet(sa.ids, to))] = sa
+	}
+	es.seqs = seqs
+	groups := make(map[string]*groupAgg, len(es.groups))
+	for _, ga := range es.groups {
+		groups[string(relabelSet(ga.ids, to))] = ga
+	}
+	es.groups = groups
+	clear(es.kids)
+	for i := range es.kidRows {
+		k := &es.kidRows[i]
+		k.id = to(k.id)
+		es.kids[k.id] = int32(i)
+	}
+	clear(es.pairs)
+	for i := range es.pairRows {
+		p := &es.pairRows[i]
+		p.pairKey = pairKey{a: to(p.a), b: to(p.b)}
+		if p.b < p.a {
+			p.a, p.b = p.b, p.a
+		}
+		es.pairs[p.pairKey] = int32(i)
+	}
+}
+
+// relabelSet maps the sorted ID set ids in place, sorts it again and
+// returns its packed key.
+func relabelSet(ids []int32, to func(int32) int32) []byte {
+	for i, id := range ids {
+		ids[i] = to(id)
+	}
+	slices.Sort(ids)
+	return packIDs(nil, ids)
 }
 
 // registerChild folds the closing child f into its parent's tally — the

@@ -628,8 +628,12 @@ func (e *Evaluator) requiredWeight(name string) float64 {
 }
 
 // requiredModelWeight is the minimal mandatory weight of a content model:
-// the minus cost of providing none of its content.
+// the minus cost of providing none of its content. A nil model requires
+// nothing, whether read as ANY or as EMPTY.
 func (e *Evaluator) requiredModelWeight(c *dtd.Content) float64 {
+	if c == nil {
+		return 0
+	}
 	switch c.Kind {
 	case dtd.Name:
 		return e.requiredWeight(c.Name)

@@ -28,6 +28,7 @@ package source
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -94,11 +95,6 @@ func decided(op walOp, cls classify.Result) walOp {
 	return op
 }
 
-// docOp is the journal record of a document committed under cls.
-func docOp(doc *xmltree.Document, cls classify.Result) walOp {
-	return decided(walOp{Op: "doc", Text: doc.String()}, cls)
-}
-
 // encodeOp serializes one journal record. HTML escaping is off, so the
 // markup of a journaled document keeps its size instead of growing every
 // < and > into a six-byte \u003c escape; the decoder reads both spellings,
@@ -113,40 +109,49 @@ func encodeOp(op walOp) ([]byte, error) {
 	return b.Bytes()[:b.Len()-1], nil // drop Encode's trailing newline
 }
 
+// journalingLocked reports whether operations are journaled now: a WAL is
+// attached and healthy, and the source is not replaying one.
+// dtdvet:requires mu:r
+func (s *Source) journalingLocked() bool {
+	return s.wal != nil && !s.replaying && s.walErr == nil
+}
+
 // journalLocked appends one operation to the attached WAL. Callers hold the
-// write lock, so the append order is exactly the commit order. A failed
-// append marks the source degraded (sticky): the in-memory state the caller
-// is about to produce stays consistent with what the client is told, but
-// the serving layer must stop accepting mutations (Degraded, HTTP 503)
-// because their durability can no longer be promised.
+// write lock, so the append order is exactly the commit order.
 // dtdvet:requires mu
 // dtdvet:journalpoint
 // dtdvet:replayroot
 func (s *Source) journalLocked(op walOp) {
-	if s.replaying || s.walErr != nil {
-		return
+	if s.journalingLocked() {
+		payload, _ := encodeOp(op)
+		s.appendLocked(payload)
 	}
-	sink := s.journalSink
-	if s.wal == nil && sink == nil {
+}
+
+// appendLocked appends one encoded record. While a group commits, the
+// record goes to the group's sink for its single batched append
+// (journalBatchLocked), between the document that caused it and the next
+// one. A failed append — or a failed encoding, a nil payload, which
+// marshalling a walOp (strings only) cannot produce — marks the source
+// degraded (sticky): the in-memory state the caller is about to produce
+// stays consistent with what the client is told, but the serving layer
+// must stop accepting mutations (Degraded, HTTP 503) because their
+// durability can no longer be promised.
+// dtdvet:requires mu
+// dtdvet:journalpoint
+// dtdvet:replayroot
+func (s *Source) appendLocked(payload []byte) {
+	var err error
+	switch {
+	case payload == nil:
+		err = errors.New("source: encoding WAL record failed")
+	case s.journalSink != nil:
+		*s.journalSink = append(*s.journalSink, payload)
 		return
+	default:
+		err = s.wal.Append(payload)
 	}
-	payload, err := encodeOp(op)
 	if err != nil {
-		// Marshalling a walOp (strings only) cannot fail; treat it as a
-		// degraded log all the same rather than dropping the record.
-		s.walErr = fmt.Errorf("source: encoding WAL record: %w", err)
-		s.metrics.ObserveWALError()
-		return
-	}
-	if sink != nil {
-		// A group commit is in flight: collect the record for the group's
-		// single batched append (journalBatchLocked) instead of writing it
-		// now, preserving its position between the doc that caused it and
-		// the next doc of the group.
-		*sink = append(*sink, payload)
-		return
-	}
-	if err := s.wal.Append(payload); err != nil {
 		s.walErr = err
 		s.metrics.ObserveWALError()
 	}
@@ -159,13 +164,13 @@ func (s *Source) journalLocked(op walOp) {
 // and the caller must call its Flush after releasing the write lock (and
 // before acknowledging the group), so the disk round-trip overlaps the
 // next group's scoring and draining instead of stalling every reader
-// behind a writer-held lock. A write failure matches journalLocked: the
+// behind a writer-held lock. A write failure matches appendLocked's: the
 // source turns degraded (sticky) and the group still applies in memory.
 // dtdvet:requires mu
 // dtdvet:journalpoint
 // dtdvet:replayroot
 func (s *Source) journalBatchLocked(payloads [][]byte) (flush *wal.Log) {
-	if s.wal == nil || s.replaying || s.walErr != nil || len(payloads) == 0 {
+	if !s.journalingLocked() || len(payloads) == 0 {
 		return nil
 	}
 	if err := s.wal.AppendBatchNoSync(payloads); err != nil {
@@ -177,20 +182,6 @@ func (s *Source) journalBatchLocked(payloads [][]byte) (flush *wal.Log) {
 		return s.wal
 	}
 	return nil
-}
-
-// encodeOpLocked marshals an operation for journaling, marking the source
-// degraded on the (string-only ops: impossible) encode failure, exactly as
-// journalLocked would.
-// dtdvet:requires mu
-func (s *Source) encodeOpLocked(op walOp) []byte {
-	payload, err := encodeOp(op)
-	if err != nil {
-		s.walErr = fmt.Errorf("source: encoding WAL record: %w", err)
-		s.metrics.ObserveWALError()
-		return nil
-	}
-	return payload
 }
 
 // AttachWAL journals every subsequent state-changing operation to w. The
@@ -256,9 +247,17 @@ func (s *Source) applyOp(op walOp) error {
 			s.Add(doc)
 			return nil
 		}
-		if err := s.applyDocOp(op, doc); err != nil {
+		// A decided record commits under its decision, scoring nothing.
+		s.mu.RLock()
+		cls, err := s.decisionLocked(op)
+		gen := s.gen
+		s.mu.RUnlock()
+		if err != nil {
 			return fmt.Errorf("source: WAL document: %w", err)
 		}
+		r := newReq(doc, cls, gen)
+		s.commit(r)
+		freeReq(r)
 	case "sdoc":
 		if err := s.applyStreamOp(op); err != nil {
 			return err
@@ -291,21 +290,6 @@ func (s *Source) applyOp(op walOp) error {
 	default:
 		return fmt.Errorf("source: unknown WAL operation %q", op.Op)
 	}
-	return nil
-}
-
-// applyDocOp commits a replayed document under its journaled decision,
-// without scoring it.
-func (s *Source) applyDocOp(op walOp, doc *xmltree.Document) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cls, err := s.decisionLocked(op)
-	if err != nil {
-		return err
-	}
-	s.journalLocked(op)
-	res := s.applyCommitLocked(doc, cls)
-	s.fireTriggers(&res)
 	return nil
 }
 

@@ -303,11 +303,18 @@ func TestKillAtEveryOffsetSourceState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference snapshots after each journaled record prefix, derived from
-	// the stream itself (auto-evolution decisions are records of their own).
-	refs := journalPrefixRefs(t, testConfig(), dir)
+	killAtEveryOffset(t, testConfig(), dir)
+}
 
-	// The segment byte stream, in order.
+// killAtEveryOffset cuts the journal in dir at every record boundary and
+// densely in between, recovers each cut, and requires the state a
+// reference source reaches by applying exactly the recovered prefix of
+// records (journalPrefixRefs): auto-evolution decisions are records of
+// their own, so record prefixes, not script-op prefixes, are the
+// crash-equivalence points.
+func killAtEveryOffset(t *testing.T, cfg Config, dir string) {
+	t.Helper()
+	refs := journalPrefixRefs(t, cfg, dir)
 	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("segments: %v %v", segs, err)
@@ -332,15 +339,12 @@ func TestKillAtEveryOffsetSourceState(t *testing.T) {
 	for cut := 1; cut < len(stream); cut += stride {
 		offsets[cut] = true
 	}
-	// Always include every record boundary (the interesting equivalence
-	// points) — compute from replay of the full stream.
 	boundary := 0
-	_, err = wal.Replay(dir, func(p []byte) error {
+	if _, err := wal.Replay(dir, func(p []byte) error {
 		boundary += 8 + len(p)
 		offsets[boundary] = true
 		return nil
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -363,7 +367,7 @@ func TestKillAtEveryOffsetSourceState(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		recovered, info, err := Recover(testConfig(), nil, sub, wal.Options{Sync: wal.SyncOff})
+		recovered, info, err := Recover(cfg, nil, sub, wal.Options{Sync: wal.SyncOff})
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}

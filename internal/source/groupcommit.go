@@ -1,16 +1,16 @@
 // Group commit for the ingest hot path (DESIGN.md §8, §10).
 //
-// PR 3 made every commit journal — and, under SyncAlways, fsync — while
-// holding the global write lock, so concurrent writers serialize behind
-// the disk: throughput caps at ~1/fsync-latency documents per second no
-// matter how many cores score documents in parallel. Group commit is the
-// classic database answer: while one fsync is in flight, every commit that
-// arrives queues up, and the next fsync covers them all.
+// A serial commit journals — and, under SyncAlways, fsyncs — while holding
+// the write lock, so concurrent writers serialize behind the disk:
+// throughput caps at ~1/fsync-latency documents per second. Group commit is
+// the classic database answer: while one fsync is in flight, every commit
+// that arrives queues up, and the next fsync covers them all.
 //
 // The scheme is leader/follower with no dedicated goroutine. A committing
-// caller pre-serializes its journal payload *before* any lock, then
-// enqueues a commitReq. The first enqueuer becomes the leader: it drains
-// up to maxGroup requests, journals all their payloads with one batched
+// caller — Add, AddBatch or AddStream — pre-serializes its journal payload
+// *before* any lock, then enqueues a commitReq. The first enqueuer becomes
+// the leader: it drains up to maxGroup requests, runs each through the one
+// commit step (commit.go), journals all their payloads with one batched
 // WAL write (one mutex acquisition, one write) and applies every request's
 // state changes under a single write-lock section, then releases the lock,
 // runs the group's single fsync (wal.Flush) outside it — so readers score
@@ -36,9 +36,7 @@ import (
 	"sync"
 	"time"
 
-	"dtdevolve/internal/classify"
 	"dtdevolve/internal/wal"
-	"dtdevolve/internal/xmltree"
 )
 
 // DefaultMaxGroup bounds how many documents one leader journals in a
@@ -58,48 +56,15 @@ type GroupCommitOptions struct {
 	MaxWait time.Duration
 }
 
-// EnableGroupCommit routes every subsequent Add/AddBatch commit through
-// the group-commit coordinator. Enable it once, before serving traffic;
-// it cannot be turned off. Recovery replay is unaffected: replayed
-// operations apply one at a time and journal nothing.
+// EnableGroupCommit routes every subsequent commit — Add, AddBatch and
+// AddStream — through the group-commit coordinator. Enable it once, before
+// serving traffic; it cannot be turned off. Replayed documents commit
+// through it too, one at a time, and journal nothing.
 func (s *Source) EnableGroupCommit(opts GroupCommitOptions) {
 	if opts.MaxGroup <= 0 {
 		opts.MaxGroup = DefaultMaxGroup
 	}
 	s.committer.Store(&groupCommitter{s: s, maxGroup: opts.MaxGroup, maxWait: opts.MaxWait})
-}
-
-// GroupCommitEnabled reports whether commits go through the group-commit
-// coordinator.
-func (s *Source) GroupCommitEnabled() bool { return s.committer.Load() != nil }
-
-// commitReq is one document waiting to be committed: its read-locked
-// classification, the generation it was scored at, and the pre-serialized
-// journal payload carrying that classification's decision (nil when no WAL
-// was attached at scoring time). The leader fills res; done closes once
-// the request is durable and applied; promote closes to hand the request's
-// waiter leadership of the queue.
-type commitReq struct {
-	doc     *xmltree.Document
-	cls     classify.Result
-	gen     uint64
-	payload []byte
-	res     AddResult
-	done    chan struct{}
-	promote chan struct{}
-}
-
-func newCommitReq(doc *xmltree.Document, cls classify.Result, gen uint64, hasWAL bool) *commitReq {
-	req := &commitReq{doc: doc, cls: cls, gen: gen, done: make(chan struct{}), promote: make(chan struct{})}
-	if hasWAL {
-		// Serialize off-lock: doc.String and the JSON encoding are the
-		// expensive part of journaling, and they no longer hold up the
-		// write lock. Marshalling a walOp (strings only) cannot fail; a
-		// nil payload falls back to in-lock journaling, which reports the
-		// failure through the degraded path.
-		req.payload, _ = encodeOp(docOp(doc, cls))
-	}
-	return req
 }
 
 // groupCommitter coordinates leader/follower commits for one Source. Its
@@ -120,6 +85,9 @@ type groupCommitter struct {
 // otherwise submit returns immediately and the caller waits on each req.
 // dtdvet:nojournal -- commit-queue staging: every queued document is journaled by commitGroup before its state changes apply
 func (gc *groupCommitter) submit(reqs []*commitReq) {
+	for _, r := range reqs {
+		r.done, r.promote = make(chan struct{}), make(chan struct{})
+	}
 	gc.mu.Lock()
 	gc.queue = append(gc.queue, reqs...)
 	gc.s.metrics.SetCommitQueueDepth(len(gc.queue))
@@ -232,43 +200,25 @@ func (gc *groupCommitter) lead(last *commitReq) {
 }
 
 // commitGroupLocked journals and applies one drained group inside the
-// leader's write-lock section: each document is re-scored when the DTD set
-// changed after its read-locked scoring, exactly as the serial path
-// re-scores, and its payload re-encoded when that changed the decision;
-// the payload is collected and its state changes apply in queue order,
-// and any records the apply itself journals — auto-evolutions,
-// trigger firings — are diverted into the same collection via the journal
-// sink, landing between the doc that caused them and the next doc. One
-// batched WAL write then covers the whole interleaved sequence, leaving
-// the exact byte stream the serial path would have. The group's fsync is
-// deliberately NOT in here: when one is owed (SyncAlways), the attached
-// log is returned and the leader flushes it after releasing the write
-// lock, before closing any done channel.
+// leader's write-lock section: each request runs the commit step in queue
+// order, with the journal sink set, so every record — the documents' and
+// those their applies journal (auto-evolutions, trigger firings), each
+// landing between the document that caused it and the next — is collected
+// for one batched WAL write that leaves the exact byte stream the serial
+// path would have. The group's fsync is deliberately NOT in here: when one
+// is owed (SyncAlways), the attached log is returned and the leader
+// flushes it after releasing the write lock, before closing any done
+// channel.
 // dtdvet:requires Source.mu
 func (gc *groupCommitter) commitGroupLocked(group []*commitReq) (flush *wal.Log) {
 	s := gc.s
-	payloads := make([][]byte, 0, len(group))
-	s.journalSink = &payloads
+	var payloads [][]byte
+	if s.journalingLocked() {
+		payloads = make([][]byte, 0, len(group))
+		s.journalSink = &payloads
+	}
 	for _, r := range group {
-		if s.gen != r.gen {
-			cls := s.classifier.Classify(r.doc)
-			if decided(walOp{}, cls) != decided(walOp{}, r.cls) {
-				r.payload = nil // journaled the stale decision: re-encode
-			}
-			r.cls = cls
-		}
-		p := r.payload
-		if p == nil && s.wal != nil && !s.replaying && s.walErr == nil {
-			// The WAL was attached after this document was scored, or the
-			// re-score changed its decision; encode under the lock like the
-			// serial path would have.
-			p = s.encodeOpLocked(docOp(r.doc, r.cls))
-		}
-		if p != nil && s.wal != nil && !s.replaying && s.walErr == nil {
-			payloads = append(payloads, p)
-		}
-		r.res = s.applyCommitLocked(r.doc, r.cls)
-		s.fireTriggers(&r.res)
+		s.commitOneLocked(r)
 	}
 	s.journalSink = nil
 	flush = s.journalBatchLocked(payloads)

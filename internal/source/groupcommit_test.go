@@ -1,12 +1,15 @@
 package source
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dtdevolve/internal/wal"
 	"dtdevolve/internal/xmltree"
@@ -158,74 +161,10 @@ func TestKillAtEveryOffsetGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference snapshots after each journaled record prefix, derived from
-	// the stream itself: the dtd op, then the documents in enqueue (= batch)
-	// order with auto-evolution decisions interleaved where they fired.
-	refs := journalPrefixRefs(t, testConfig(), dir)
-
-	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	if err != nil || len(segs) == 0 {
-		t.Fatalf("segments: %v %v", segs, err)
-	}
-	var stream []byte
-	for _, p := range segs {
-		data, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream = append(stream, data...)
-	}
-
-	stride := 7
-	if testing.Short() {
-		stride = 97
-	}
-	offsets := map[int]bool{0: true, len(stream): true}
-	for cut := 1; cut < len(stream); cut += stride {
-		offsets[cut] = true
-	}
-	boundary := 0
-	if _, err := wal.Replay(dir, func(p []byte) error {
-		boundary += 8 + len(p)
-		offsets[boundary] = true
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	for cut := range offsets {
-		sub := t.TempDir()
-		remaining := cut
-		for _, p := range segs {
-			if remaining <= 0 {
-				break
-			}
-			data, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(data) > remaining {
-				data = data[:remaining]
-			}
-			remaining -= len(data)
-			if err := os.WriteFile(filepath.Join(sub, filepath.Base(p)), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		recovered, info, err := Recover(testConfig(), nil, sub, wal.Options{Sync: wal.SyncOff})
-		if err != nil {
-			t.Fatalf("cut %d: recovery failed: %v", cut, err)
-		}
-		got := snapshotOf(t, recovered)
-		recovered.CloseWAL()
-		if info.Replayed >= len(refs) {
-			t.Fatalf("cut %d: replayed %d > %d journaled ops", cut, info.Replayed, len(refs)-1)
-		}
-		if want := refs[info.Replayed]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("cut %d (replayed %d): crash inside a group diverged from the journaled prefix\n got: %v\nwant: %v",
-				cut, info.Replayed, got, want)
-		}
-	}
+	// The journal holds the dtd op, then the documents in enqueue (= batch)
+	// order with auto-evolution decisions interleaved where they fired; a
+	// torn group must recover exactly its durable prefix.
+	killAtEveryOffset(t, testConfig(), dir)
 }
 
 // TestGroupCommitConcurrentAddSyncAlways is the -race stress of the
@@ -344,5 +283,102 @@ func TestAddBatchScoringBounded(t *testing.T) {
 			}
 			runtime.Gosched()
 		}
+	}
+}
+
+// holdFS is the real filesystem, except that once armed, the next Sync of
+// any of its files signals entered and blocks until release closes: a
+// group-commit leader's fsync stays in flight while other commits queue.
+type holdFS struct {
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *holdFS) Create(path string) (wal.File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return holdFile{f, h}, nil
+}
+
+func (h *holdFS) Remove(path string) error { return os.Remove(path) }
+
+type holdFile struct {
+	*os.File
+	h *holdFS
+}
+
+func (f holdFile) Sync() error {
+	if f.h.armed.CompareAndSwap(true, false) {
+		close(f.h.entered)
+		<-f.h.release
+	}
+	return f.File.Sync()
+}
+
+// TestGroupCommitStreamsShareFsync: streamed documents ride the group
+// queue. With the first streamed document's fsync held, n more queue
+// behind it and commit as one group: 2 fsyncs for n+1 documents.
+func TestGroupCommitStreamsShareFsync(t *testing.T) {
+	fs := &holdFS{entered: make(chan struct{}), release: make(chan struct{})}
+	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncAlways, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.AutoEvolve = false
+	s := New(cfg)
+	s.EnableGroupCommit(GroupCommitOptions{})
+	s.AttachWAL(w)
+	defer s.CloseWAL()
+	s.AddDTD("feed", feedDTD(t))
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "feeds", "feed1.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syncs := w.Stats().Syncs
+	fs.armed.Store(true)
+
+	const n = 8
+	var wg sync.WaitGroup
+	add := func() {
+		defer wg.Done()
+		if _, err := s.AddStream(bytes.NewReader(raw)); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(1)
+	go add()
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		close(fs.release)
+		t.Fatal("the first streamed document never reached its fsync")
+	}
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go add()
+	}
+	// The counters are atomics: reading them takes no lock a commit holds.
+	for deadline := time.Now().Add(5 * time.Second); s.metrics.Snapshot().CommitQueueDepth < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Errorf("%d of %d streamed documents queued behind the held fsync", s.metrics.Snapshot().CommitQueueDepth, n)
+			break
+		}
+	}
+	close(fs.release)
+	wg.Wait()
+
+	m := s.Metrics()
+	if got := w.Stats().Syncs - syncs; got != 2 {
+		t.Errorf("%d documents took %d fsyncs, want 2", n+1, got)
+	}
+	if m.WALGroupSizeMean <= 1 {
+		t.Errorf("group size mean %v, want > 1", m.WALGroupSizeMean)
+	}
+	if m.StreamDocs != n+1 {
+		t.Errorf("stream_docs = %d, want %d", m.StreamDocs, n+1)
 	}
 }

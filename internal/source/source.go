@@ -135,8 +135,8 @@ type Source struct {
 	entries    map[string]*entry // dtdvet:guarded_by mu
 	classifier *classify.Classifier
 	// tab is the per-source symbol table: every classifier pool and every
-	// recorder keys its label work by the same dense IDs, and recordLocked
-	// stamps classified documents with them (intern.InternDocument).
+	// recorder keys its label work by the same dense IDs, and the commit
+	// step interns each document's new names (commit.go).
 	tab        *intern.Table
 	repository []*xmltree.Document // dtdvet:guarded_by mu
 	added      int                 // dtdvet:guarded_by mu
@@ -259,38 +259,26 @@ type AddResult struct {
 //
 // Add is two-phase: the similarity scoring runs under the read lock (so
 // concurrent Adds classify in parallel, and each classification fans out
-// across DTDs), then the commit re-acquires the write lock. If the DTD set
-// changed in between (another Add evolved a DTD, or AddDTD ran), the
-// document is re-scored under the write lock before being recorded.
+// across DTDs), then the commit step (commit.go) takes the write lock. If
+// the DTD set changed in between (another Add evolved a DTD, or AddDTD
+// ran), the document is re-scored under the write lock before being
+// recorded.
 //
-// Classification only looks tags up; the commit interns them
-// (recordLocked), so symbol IDs follow journal order.
+// Classification only looks tags up; the commit interns them, so symbol
+// IDs follow journal order.
 func (s *Source) Add(doc *xmltree.Document) AddResult {
 	start := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
 	s.mu.RLock()
-	gen := s.gen
-	hasWAL := s.wal != nil && !s.replaying && s.walErr == nil
-	cls := s.classifier.Classify(doc)
+	r := newReq(doc, s.classifier.Classify(doc), s.gen)
+	journal := s.journalingLocked()
 	s.mu.RUnlock()
+	defer freeReq(r)
 	s.metrics.ObserveClassifyPhase(time.Since(start)) // dtdvet:allow replaydet -- metrics only
-
-	if gc := s.committer.Load(); gc != nil {
-		req := newCommitReq(doc, cls, gen, hasWAL)
-		gc.submit([]*commitReq{req})
-		gc.wait(req)
-		return req.res
+	if journal {
+		r.encode()
 	}
-
-	commit := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.gen != gen {
-		cls = s.classifier.Classify(doc)
-	}
-	res := s.commitLocked(doc, cls)
-	s.fireTriggers(&res)
-	s.metrics.ObserveCommitPhase(time.Since(commit)) // dtdvet:allow replaydet -- metrics only
-	return res
+	s.commit(r)
+	return r.res
 }
 
 // AddBatch ingests many documents at once: every document is scored
@@ -327,7 +315,7 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 	start := time.Now()
 	s.mu.RLock()
 	gen := s.gen
-	hasWAL := s.wal != nil && !s.replaying && s.walErr == nil
+	journal := s.journalingLocked()
 	cls := make([]classify.Result, len(docs))
 	// A worker pool sized to the core count, not one goroutine per
 	// document: a large batch must not spawn thousands of goroutines that
@@ -360,76 +348,24 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 		return nil, err
 	}
 
-	if gc := s.committer.Load(); gc != nil {
-		// The batch rides the same commit queue as single Adds: its
-		// requests enqueue in input order (so the batch stays equivalent to
-		// a serial Add sequence) and interleave with concurrent writers at
-		// group granularity.
-		reqs := make([]*commitReq, len(docs))
-		for i, doc := range docs {
-			reqs[i] = newCommitReq(doc, cls[i], gen, hasWAL)
-		}
-		gc.submit(reqs)
-		for i, req := range reqs {
-			gc.wait(req)
-			results[i] = req.res
-		}
-		return results, nil
-	}
-
-	commit := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// The batch commits in input order, so it stays equivalent to a serial
+	// Add sequence; with group commit it interleaves with concurrent
+	// writers at group granularity. Every request carries the batch's
+	// generation, so once an evolution mid-batch moves it, every later
+	// document re-scores against the updated set.
+	reqs := make([]*commitReq, len(docs))
 	for i, doc := range docs {
-		if s.gen != gen {
-			// The set changed after the batch was scored (an evolution
-			// earlier in this loop, or a concurrent AddDTD): re-score
-			// against the current set. gen stays at its snapshot value, so
-			// every later document re-scores too.
-			cls[i] = s.classifier.Classify(doc)
+		reqs[i] = newReq(doc, cls[i], gen)
+		if journal {
+			reqs[i].encode()
 		}
-		results[i] = s.commitLocked(doc, cls[i])
-		s.fireTriggers(&results[i])
 	}
-	s.metrics.ObserveCommitPhase(time.Since(commit))
+	s.commit(reqs...)
+	for i, r := range reqs {
+		results[i] = r.res
+		freeReq(r)
+	}
 	return results, nil
-}
-
-// commitLocked records one scored document and runs the check phase.
-// Callers hold the write lock.
-// dtdvet:requires mu
-func (s *Source) commitLocked(doc *xmltree.Document, cls classify.Result) AddResult {
-	// Write-ahead: the document is journaled before its effects, with its
-	// classification decision. The check phase's own decisions
-	// (auto-evolutions, trigger firings) are journaled as logical commands
-	// of their own the moment they fire, so replay — and a follower replica
-	// tailing the log — applies the recorded decisions instead of
-	// re-deriving them and can never diverge from the primary.
-	s.journalLocked(docOp(doc, cls))
-	return s.applyCommitLocked(doc, cls)
-}
-
-// applyCommitLocked is the in-memory half of a commit: record the document
-// and run the check phase. Callers hold the write lock and must already
-// have journaled the document (commitLocked, or the group committer's
-// journal sink).
-// dtdvet:requires mu
-func (s *Source) applyCommitLocked(doc *xmltree.Document, cls classify.Result) AddResult {
-	s.added++
-	res := s.recordLocked(doc, cls)
-	// During replay the check phase is suppressed entirely: every evolution
-	// that fired live follows in the log as its own "autoevolve" record, and
-	// re-deriving it here would double-apply it.
-	if res.Classified && s.cfg.AutoEvolve && !s.replaying {
-		e := s.entries[res.DTDName]
-		if e.docs >= s.cfg.MinDocs && e.rec.ShouldEvolve(s.cfg.Tau) {
-			report, reclassified, _ := s.evolveLocked(walOp{Op: "autoevolve", Name: res.DTDName})
-			res.Evolved = true
-			res.Report = &report
-			res.Reclassified = reclassified
-		}
-	}
-	return res
 }
 
 // Metrics returns a snapshot of the ingest counters (documents classified
@@ -571,37 +507,6 @@ func (s *Source) fireTriggers(res *AddResult) {
 			break // one firing per rule per Add
 		}
 	}
-}
-
-// recordLocked runs the recording phase for one scored document: the
-// extended-DTD statistics for a classified document, the repository
-// otherwise. Callers hold the write lock.
-// dtdvet:requires mu
-func (s *Source) recordLocked(doc *xmltree.Document, cls classify.Result) AddResult {
-	// Intern and stamp every committed document's tags, classified or not,
-	// here under the write lock: new symbols then get their IDs in journal
-	// order, the order replay assigns them, and the recorder (same table)
-	// resolves every tag by a verified cached ID. Node IDs are atomics, so
-	// a concurrent classification of the same tree (e.g. a caller reusing
-	// a document) stays race-free.
-	intern.InternDocument(s.tab, doc.Root)
-	res := AddResult{DTDName: cls.DTDName, Similarity: cls.Similarity, Classified: cls.Classified, Candidates: cls.Candidates}
-	s.metrics.ObserveDocument(cls.Classified)
-	if !cls.Classified {
-		res.DTDName = ""
-		s.repository = append(s.repository, doc)
-		return res
-	}
-	e := s.entries[cls.DTDName]
-	e.rec.Record(doc)
-	e.docs++
-	if s.store != nil {
-		// Persist the classified document so it can be re-validated or
-		// adapted after an evolution (AdaptStored). Store failures must
-		// not lose the classification; surface them via the status.
-		_ = s.store.Put(cls.DTDName, doc)
-	}
-	return res
 }
 
 // EnableStore attaches a document store: every subsequently classified

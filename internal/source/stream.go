@@ -1,27 +1,25 @@
 // Streaming one-pass ingest (DESIGN.md §15): AddStream classifies and
-// records a document in a single pass over the reader — the pull parser
+// records a document in a single pass over the reader. The pull parser
 // feeds one similarity evaluator per candidate DTD and the speculative
-// recorder incrementally, so peak memory is bounded by the open-element
-// path and the schema-sized delta tables, never by document length.
+// recorder, so peak memory is bounded by the open-element path and the
+// schema-sized delta tables, never by document length. The pass only
+// reads the symbol table: names it lacks get provisional IDs from a
+// per-document intern.Overlay, relabelled at commit when other names were
+// interned first.
 //
-// Durability reuses the tree path's journal byte-for-byte: the parser's
-// canonical-serialization tap spools exactly the bytes Document.String()
-// would produce, so a non-degraded streamed document journals the same
-// "doc" record the tree path would, and replay through either path
-// converges to identical state (the streamed statistics are bit-identical
-// to Record(doc), pinned by internal/stream's equivalence tests). A
+// The document then commits like every other, as a commitReq through the
+// one commit step (commit.go), serial or grouped, which interns its new
+// names and merges the winner's lane. Its journal record is the tree
+// path's, byte for byte: the parser's canonical tap spools exactly the
+// bytes Document.String() would produce, and the streamed statistics are
+// bit-identical to Record(doc) (internal/stream's equivalence tests). A
 // document that hit the MaxChildren budget journals as "sdoc" carrying the
-// budget, and replays through the streaming path so its degraded
-// statistics are reproduced exactly. Both records carry the fold's
-// decision, the same one the tree path journals, so replay records the
-// document against the winner without classifying it.
+// budget, and replays through the streaming path.
 //
-// When neither a WAL nor a docstore is attached, no spool is kept and the
-// pass runs in truly bounded memory; the price is that a document the fold
-// cannot classify has no bytes left to put in the repository
-// (ErrStreamRepository), and a DTD-set change mid-stream cannot be healed
-// by re-scoring the spool (ErrStreamStale) — both ask the caller to
-// re-send.
+// Without a WAL or a docstore no spool is kept, and the pass runs in truly
+// bounded memory. The price: a document the fold sends to the repository
+// has no bytes left for it (ErrStreamRepository), and a stale one cannot
+// be re-scored (ErrStreamStale); both ask the caller to re-send.
 package source
 
 import (
@@ -29,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -37,7 +36,7 @@ import (
 	"dtdevolve/internal/xmltree"
 )
 
-// ErrStreamStale reports that the DTD set changed while the document
+// ErrStreamStale reports that the DTD set changed while a document
 // streamed and no spool was kept to re-score it; the caller must re-send.
 var ErrStreamStale = errors.New("source: DTD set changed during streaming ingest; re-send the document")
 
@@ -47,12 +46,26 @@ var ErrStreamStale = errors.New("source: DTD set changed during streaming ingest
 // through the tree path.
 var ErrStreamRepository = errors.New("source: streamed document is unclassified and no spool was kept for the repository; re-send via the tree path")
 
-// streamConfig builds the consumer configuration for one child budget.
-func (s *Source) streamConfig(maxChildren int) stream.Config {
-	return stream.Config{
+// ingestor borrows a pooled consumer when maxChildren is the configured
+// child budget, and builds an unpooled one for another (a replayed "sdoc"
+// journaled under it). putIngestor takes it back.
+func (s *Source) ingestor(maxChildren int) *stream.Ingestor {
+	if maxChildren == s.cfg.MaxChildren {
+		if v := s.streamers.Get(); v != nil {
+			return v.(*stream.Ingestor)
+		}
+	}
+	return stream.NewIngestor(s.tab, stream.Config{
 		Parse:       xmltree.Options{MaxBytes: s.cfg.MaxDocBytes},
 		MaxChildren: maxChildren,
 		Decay:       s.cfg.Similarity.Decay,
+	})
+}
+
+// putIngestor returns a consumer borrowed for maxChildren to the pool.
+func (s *Source) putIngestor(ing *stream.Ingestor, maxChildren int) {
+	if maxChildren == s.cfg.MaxChildren {
+		s.streamers.Put(ing)
 	}
 }
 
@@ -64,30 +77,47 @@ func (s *Source) streamConfig(maxChildren int) stream.Config {
 // input with xmltree.SizeError, MaxChildren degrades over-wide elements
 // (journaled as "sdoc" so replay reproduces the degraded statistics).
 func (s *Source) AddStream(r io.Reader) (AddResult, error) {
-	return s.addStream(r, s.cfg.MaxChildren, true)
+	return s.addStream(r, s.cfg.MaxChildren, nil)
 }
 
-// addStream is AddStream with an explicit child budget: WAL replay of an
+// addStream is AddStream under an explicit child budget. WAL replay of an
 // "sdoc" record re-streams under the budget that shaped it, not the
-// current configuration (pooled consumers carry the configured budget and
-// are bypassed in that case).
-func (s *Source) addStream(r io.Reader, maxChildren int, pooled bool) (AddResult, error) {
+// current configuration, and passes the record as dec when it carries a
+// decision: the document then streams through its DTD's lane only, whose
+// validity bits the recorder needs, or through none for the repository,
+// and classifies nothing — a lane's statistics do not depend on the other
+// lanes.
+//
+// A fold no lane can commit becomes a tree request here, off the lock,
+// parsed from the spool: one sent to the repository, and the degenerate
+// σ ≤ 0 fold crowning a root-gated DTD at similarity 0, whose lane was
+// never recorded. Without a spool those return ErrStreamRepository and
+// ErrStreamStale.
+func (s *Source) addStream(rd io.Reader, maxChildren int, dec *walOp) (AddResult, error) {
 	start := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
 	s.mu.RLock()
-	gen := s.gen
+	gen, journal := s.gen, s.journalingLocked()
 	// Replay keeps a spool too: a replayed "sdoc" never re-journals, but an
-	// unclassified one still needs its bytes for the repository, and a
-	// fallback still needs them for the tree path.
-	spoolWanted := (s.wal != nil && !s.replaying && s.walErr == nil) || s.store != nil || s.replaying
+	// unclassified or stale one still needs its bytes for the tree.
+	spooled := journal || s.store != nil || s.replaying
 	entries := s.classifier.StreamEntries()
-	thesaurus := s.cfg.Similarity.TagSimilarity != nil
+	thesaurus := s.cfg.Similarity.TagSimilarity != nil && dec == nil
+	var cls classify.Result
+	var err error
+	if dec != nil {
+		cls, err = s.decisionLocked(*dec)
+		entries = slices.DeleteFunc(entries, func(e classify.StreamEntry) bool { return !cls.Classified || e.Name != cls.DTDName })
+	}
 	s.mu.RUnlock()
+	if err != nil {
+		return AddResult{}, err
+	}
 
 	if thesaurus {
 		// The streaming evaluator scores exact tag equality only; the
 		// thesaurus extension falls back to the tree path, still bounded by
 		// MaxDocBytes at the parse layer.
-		doc, err := xmltree.ParseWithOptions(r, xmltree.Options{MaxBytes: s.cfg.MaxDocBytes})
+		doc, err := xmltree.ParseWithOptions(rd, xmltree.Options{MaxBytes: s.cfg.MaxDocBytes})
 		if err != nil {
 			s.observeStreamError(err)
 			return AddResult{}, err
@@ -95,45 +125,55 @@ func (s *Source) addStream(r io.Reader, maxChildren int, pooled bool) (AddResult
 		return s.Add(doc), nil
 	}
 
-	var ing *stream.Ingestor
-	if pooled {
-		if v := s.streamers.Get(); v != nil {
-			ing = v.(*stream.Ingestor)
-		} else {
-			ing = stream.NewIngestor(s.tab, s.streamConfig(maxChildren))
-		}
-		defer s.streamers.Put(ing)
-	} else {
-		ing = stream.NewIngestor(s.tab, s.streamConfig(maxChildren))
-	}
-
+	ing := s.ingestor(maxChildren)
+	defer s.putIngestor(ing, maxChildren)
 	var spool *bytes.Buffer
 	var canon io.Writer
-	if spoolWanted {
+	if spooled {
 		spool = new(bytes.Buffer)
 		canon = spool
 	}
-	out, err := ing.Run(r, entries, canon)
+	out, err := ing.Run(rd, entries, canon)
 	if err != nil {
 		s.observeStreamError(err)
 		return AddResult{}, err
 	}
-	fold := s.classifier.FoldStream(out.Scores)
-	s.metrics.ObserveClassifyPhase(time.Since(start)) // dtdvet:allow replaydet -- metrics only
-
-	commit := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
-	s.mu.Lock()
-	res, err := s.commitStreamLocked(ing, fold, gen, maxChildren, spool, out.Degraded)
-	if err == nil {
-		s.fireTriggers(&res)
+	if dec == nil {
+		cls = s.classifier.FoldStream(out.Scores)
+		s.metrics.ObserveClassifyPhase(time.Since(start)) // dtdvet:allow replaydet -- metrics only
 	}
-	s.mu.Unlock()
-	if err != nil {
-		return AddResult{}, err
+	r := newReq(nil, cls, gen)
+	defer freeReq(r)
+	r.ing = ing
+	if spool != nil {
+		r.spool = spool.Bytes()
+	}
+	if out.Degraded {
+		// Degraded statistics depend on the child budget; replaying the
+		// document through the tree path would record full-fidelity ones.
+		// Journal the budget with it and replay through the streaming path.
+		r.sdoc = maxChildren
+	}
+	if !cls.Classified || !ing.Committable(cls.DTDName) {
+		switch {
+		case dec != nil && cls.Classified:
+			return AddResult{}, fmt.Errorf("document root is gated out of DTD %q", cls.DTDName)
+		case spool == nil && !cls.Classified:
+			return AddResult{}, ErrStreamRepository
+		}
+		if err := r.toTree(); err != nil {
+			return AddResult{}, err
+		}
+	}
+	if journal {
+		r.encode()
+	}
+	s.commit(r)
+	if r.err != nil {
+		return AddResult{}, r.err
 	}
 	s.metrics.ObserveStream(out.Consumed)
-	s.metrics.ObserveCommitPhase(time.Since(commit)) // dtdvet:allow replaydet -- metrics only
-	return res, nil
+	return r.res, nil
 }
 
 // observeStreamError counts a failed streaming ingest (today: the byte
@@ -145,154 +185,18 @@ func (s *Source) observeStreamError(err error) {
 	}
 }
 
-// commitStreamLocked is the write-locked half of a streamed ingest: verify
-// the scores are still current, journal the document, merge the winner's
-// recorded delta and run the check phase — mirroring commitLocked +
-// recordLocked with the recording already done. Callers hold the write
-// lock.
-// dtdvet:requires mu
-func (s *Source) commitStreamLocked(ing *stream.Ingestor, fold classify.Result, gen uint64, maxChildren int, spool *bytes.Buffer, degraded bool) (AddResult, error) {
-	if s.gen != gen {
-		// The DTD set changed while the document streamed: the scores (and
-		// the speculative deltas, keyed to the old lane set) are stale.
-		// Re-score the spooled canonical bytes through the tree path — its
-		// journal record is byte-identical to what we would have written.
-		return s.streamFallbackLocked(spool, ErrStreamStale)
-	}
-	if fold.Classified && !ing.Committable(fold.DTDName) {
-		// Degenerate σ ≤ 0 fold: a root-gated DTD won with similarity 0, and
-		// its lane was never scored or recorded. The tree path handles it.
-		return s.streamFallbackLocked(spool, ErrStreamStale)
-	}
-	if !fold.Classified && spool == nil {
-		return AddResult{}, ErrStreamRepository
-	}
-
-	// Materialize the repository copy before journaling so the journal
-	// never records a commit that then fails to apply. (The spool is the
-	// canonical serialization of a document that just parsed; failure here
-	// is a programming error, not an input error.)
-	var repoDoc *xmltree.Document
-	if !fold.Classified {
-		doc, err := xmltree.ParseString(spool.String())
-		if err != nil {
-			return AddResult{}, fmt.Errorf("source: re-parsing stream spool: %w", err)
-		}
-		repoDoc = doc
-	}
-
-	op := decided(walOp{Op: "doc"}, fold)
-	if degraded {
-		// A degraded document's statistics depend on the child budget;
-		// replaying it through the tree path would record the full-fidelity
-		// statistics and diverge. Journal the budget with it and replay
-		// through the streaming path.
-		op.Op, op.MaxChildren = "sdoc", maxChildren
-	}
-	if spool != nil {
-		op.Text = spool.String()
-	}
-	s.journalLocked(op)
-
-	s.added++
-	res := AddResult{DTDName: fold.DTDName, Similarity: fold.Similarity, Classified: fold.Classified, Candidates: fold.Candidates}
-	s.metrics.ObserveDocument(fold.Classified)
-	if !fold.Classified {
-		res.DTDName = ""
-		s.repository = append(s.repository, repoDoc)
-		return res, nil
-	}
-
-	e := s.entries[fold.DTDName]
-	if _, ok := ing.CommitWinner(fold.DTDName, e.rec); !ok {
-		// Unreachable: Committable held under the same lock generation.
-		return AddResult{}, fmt.Errorf("source: streamed winner %q lost its lane", fold.DTDName)
-	}
-	e.docs++
-	if s.store != nil {
-		_ = s.store.PutRaw(fold.DTDName, spool.Bytes())
-	}
-	if s.cfg.AutoEvolve && !s.replaying {
-		if e.docs >= s.cfg.MinDocs && e.rec.ShouldEvolve(s.cfg.Tau) {
-			report, reclassified, _ := s.evolveLocked(walOp{Op: "autoevolve", Name: fold.DTDName})
-			res.Evolved = true
-			res.Report = &report
-			res.Reclassified = reclassified
-		}
-	}
-	return res, nil
-}
-
-// streamFallbackLocked re-parses the spooled bytes and commits through the
-// tree path; without a spool it returns sentinel.
-// dtdvet:requires mu
-func (s *Source) streamFallbackLocked(spool *bytes.Buffer, sentinel error) (AddResult, error) {
-	if spool == nil {
-		return AddResult{}, sentinel
-	}
-	doc, err := xmltree.ParseString(spool.String())
-	if err != nil {
-		return AddResult{}, fmt.Errorf("source: re-parsing stream spool: %w", err)
-	}
-	cls := s.classifier.Classify(doc)
-	return s.commitLocked(doc, cls), nil
-}
-
 // applyStreamOp replays one journaled "sdoc" record: the document is
 // re-streamed under the budget that shaped it, so the degraded statistics
-// land bit-identically. A decided record streams through its DTD's lane
-// only, whose validity bits the recorder needs, or through none for the
-// repository, and classifies nothing: a lane's statistics do not depend on
-// the other lanes. A legacy record re-scores every lane, as it did when
-// written.
+// land bit-identically. A legacy record, which carries no decision,
+// re-scores every lane, as it did when written.
 // dtdvet:replayroot
 func (s *Source) applyStreamOp(op walOp) error {
-	var err error
+	dec := &op
 	if op.Class == "" && !op.Repository {
-		_, err = s.addStream(strings.NewReader(op.Text), op.MaxChildren, false)
-	} else {
-		err = s.applyDecidedStreamOp(op)
+		dec = nil
 	}
-	if err != nil {
+	if _, err := s.addStream(strings.NewReader(op.Text), op.MaxChildren, dec); err != nil {
 		return fmt.Errorf("source: WAL streamed document: %w", err)
 	}
-	return nil
-}
-
-// applyDecidedStreamOp replays a decided "sdoc" record.
-func (s *Source) applyDecidedStreamOp(op walOp) error {
-	s.mu.RLock()
-	gen := s.gen
-	fold, err := s.decisionLocked(op)
-	var lanes []classify.StreamEntry
-	if err == nil && fold.Classified {
-		for _, e := range s.classifier.StreamEntries() {
-			if e.Name == fold.DTDName {
-				lanes = append(lanes, e)
-			}
-		}
-	}
-	s.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	ing := stream.NewIngestor(s.tab, s.streamConfig(op.MaxChildren))
-	out, err := ing.Run(strings.NewReader(op.Text), lanes, nil)
-	if err != nil {
-		return err
-	}
-	if fold.Classified && !ing.Committable(fold.DTDName) {
-		return fmt.Errorf("document root is gated out of DTD %q", fold.DTDName)
-	}
-	s.mu.Lock()
-	res, err := s.commitStreamLocked(ing, fold, gen, op.MaxChildren, bytes.NewBufferString(op.Text), out.Degraded)
-	if err == nil {
-		s.fireTriggers(&res)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.metrics.ObserveStream(out.Consumed)
 	return nil
 }

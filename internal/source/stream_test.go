@@ -8,11 +8,14 @@ package source
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"dtdevolve/internal/dtd"
 	"dtdevolve/internal/wal"
@@ -372,4 +375,284 @@ func TestAddStreamRepositoryReplaysSymbols(t *testing.T) {
 	if got := mustSnapshot(t, recovered); got != live {
 		t.Errorf("recovered snapshot diverges\nlive:      %s\nrecovered: %s", live, got)
 	}
+}
+
+// TestAddStreamFailedParseInternsNothing: a streamed document that fails to
+// parse is never journaled, so it must leave no symbols behind either — the
+// pass resolves names through an overlay and interns them only at commit.
+// The recovered snapshot then equals the live one.
+func TestAddStreamFailedParseInternsNothing(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	s := New(cfg)
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachWAL(w)
+	maybeEnableGroupCommit(s)
+	s.AddDTD("feed", feedDTD(t))
+	before := s.Metrics().InternedSymbols
+	if _, err := s.AddStream(strings.NewReader(`<zebra><quux/>`)); err == nil {
+		t.Fatal("truncated document parsed")
+	}
+	if got := s.Metrics().InternedSymbols; got != before {
+		t.Errorf("failed parse interned %d symbols", got-before)
+	}
+	if _, err := s.AddStream(strings.NewReader(`<zebra><gnu/></zebra>`)); err != nil {
+		t.Fatal(err)
+	}
+	live := mustSnapshot(t, s)
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, _, err := Recover(cfg, nil, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.CloseWAL()
+	if got := mustSnapshot(t, recovered); got != live {
+		t.Errorf("recovered snapshot diverges\nlive:      %s\nrecovered: %s", live, got)
+	}
+}
+
+// interleaveStreams streams document A, which brings the new names alpha
+// and xname, through a pipe, holding it open after those names while
+// document B, which brings beta and yname, streams and commits. A then
+// finishes and commits: in the opposite order to the parse of their names.
+// It returns A's outcome.
+func interleaveStreams(t *testing.T, s *Source) (AddResult, error) {
+	t.Helper()
+	pr, pw := io.Pipe()
+	type outcome struct {
+		res AddResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := s.AddStream(pr)
+		pr.Close() // a failed stream fails the writes below instead of hanging them
+		done <- outcome{res, err}
+	}()
+	write := func(text string) {
+		if _, err := pw.Write([]byte(text)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(`<article><title>a</title><alpha/><xname/>`)
+	// An empty write returns once the parser reads again, so it has
+	// resolved every name before it.
+	write("")
+	if _, err := s.AddStream(strings.NewReader(`<article><title>b</title><beta/><yname/><body>b</body></article>`)); err != nil {
+		t.Fatalf("document B: %v", err)
+	}
+	write(`<body>a</body></article>`)
+	if err := pw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	o := <-done
+	return o.res, o.err
+}
+
+// symbolTail returns the last n interned symbols of s, in ID order.
+func symbolTail(s *Source, n int) string {
+	names := s.tab.Names()
+	return strings.Join(names[len(names)-n:], ",")
+}
+
+// TestAddStreamCommitOrderInterning: two streams committed in the opposite
+// order to the parse of their new names intern them in commit order, the
+// journal's, so the recovered snapshot equals the live one.
+func TestAddStreamCommitOrderInterning(t *testing.T) {
+	dir := t.TempDir()
+	cfg := DefaultConfig()
+	cfg.Sigma = 0.3
+	s := New(cfg)
+	w, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AttachWAL(w)
+	maybeEnableGroupCommit(s)
+	s.AddDTD("article", articleDTD())
+	res, err := interleaveStreams(t, s)
+	if err != nil {
+		t.Fatalf("document A: %v", err)
+	}
+	if !res.Classified {
+		t.Fatalf("document A not classified: %+v", res)
+	}
+	if got, want := symbolTail(s, 4), "beta,yname,alpha,xname"; got != want {
+		t.Errorf("live symbols end %s, want %s", got, want)
+	}
+	live := mustSnapshot(t, s)
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, _, err := Recover(cfg, nil, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.CloseWAL()
+	if got := mustSnapshot(t, recovered); got != live {
+		t.Errorf("recovered snapshot diverges\nlive:      %s\nrecovered: %s", live, got)
+	}
+}
+
+// TestAddStreamBoundedNewNames: in bounded mode (no WAL, no store) a
+// stream whose new names another commit interned ahead of them still
+// commits, as any stream scored under the current DTD set does: its delta
+// is relabelled to the IDs the table gave its names, so the source ends
+// exactly as if both documents had been added as trees in commit order.
+func TestAddStreamBoundedNewNames(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sigma = 0.3
+	s := New(cfg)
+	maybeEnableGroupCommit(s)
+	s.AddDTD("article", articleDTD())
+	res, err := interleaveStreams(t, s)
+	if err != nil {
+		t.Fatalf("document A: %v", err)
+	}
+	if !res.Classified {
+		t.Fatalf("document A not classified: %+v", res)
+	}
+	if got, want := symbolTail(s, 4), "beta,yname,alpha,xname"; got != want {
+		t.Errorf("symbols end %s, want %s", got, want)
+	}
+	ref := New(cfg)
+	ref.AddDTD("article", articleDTD())
+	ref.Add(parseDoc(t, `<article><title>b</title><beta/><yname/><body>b</body></article>`))
+	ref.Add(parseDoc(t, `<article><title>a</title><alpha/><xname/><body>a</body></article>`))
+	if got, want := mustSnapshot(t, s), mustSnapshot(t, ref); got != want {
+		t.Errorf("streamed state diverges from the tree adds in commit order\nstream: %s\ntree:   %s", got, want)
+	}
+}
+
+// TestAddStreamRescoredDegradedJournalsDoc: a degraded stream the fold
+// sends to the repository queues as a tree request. When the DTD set moves
+// before it commits and the re-score classifies it, it is recorded from
+// the tree at full fidelity, so it must journal as "doc", not as an
+// "sdoc" that replays the degraded statistics: recovery equals the live
+// state.
+func TestAddStreamRescoredDegradedJournalsDoc(t *testing.T) {
+	dir := t.TempDir()
+	fs := &holdFS{entered: make(chan struct{}), release: make(chan struct{})}
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.MaxChildren = 2
+	s := New(cfg)
+	s.EnableGroupCommit(GroupCommitOptions{})
+	s.AttachWAL(w)
+	s.AddDTD("article", articleDTD())
+	reportDTD, err := dtd.ParseString(`<!ELEMENT report (x, y, z)><!ELEMENT x EMPTY><!ELEMENT y EMPTY><!ELEMENT z EMPTY>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reportDTD.Name = "report"
+
+	// The first document leads a group and holds its fsync, outside the
+	// write lock; the degraded report queues behind it.
+	fs.armed.Store(true)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := s.AddStream(strings.NewReader(`<article><title>t</title><body>b</body></article>`)); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		close(fs.release)
+		t.Fatal("the first document never reached its fsync")
+	}
+	var res AddResult
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		if res, err = s.AddStream(strings.NewReader(`<report><x/><y/><z/></report>`)); err != nil {
+			t.Error(err)
+		}
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.metrics.Snapshot().CommitQueueDepth < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(fs.release)
+			t.Fatal("the degraded document never queued")
+		}
+	}
+	s.AddDTD("report", reportDTD)
+	close(fs.release)
+	wg.Wait()
+	if !res.Classified || res.DTDName != "report" {
+		t.Fatalf("re-scored document: %+v, want classified in report", res)
+	}
+	for _, o := range journalOps(t, dir) {
+		if o.Class == "report" && o.Op != "doc" {
+			t.Errorf("the full-fidelity document journaled as %q", o.Op)
+		}
+	}
+	live := mustSnapshot(t, s)
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, _, err := Recover(cfg, nil, dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.CloseWAL()
+	if got := mustSnapshot(t, recovered); got != live {
+		t.Errorf("recovered snapshot diverges\nlive:      %s\nrecovered: %s", live, got)
+	}
+}
+
+// TestKillAtEveryOffsetStream is the crash property for streamed
+// documents: a live source ingests through AddStream — classified
+// documents, one sent to the repository, and one degraded under
+// MaxChildren (an "sdoc" record) — and every cut of its journal recovers
+// to the state the journaled prefix leads to. Under
+// DTDEVOLVE_GROUP_COMMIT the streams commit through the group queue.
+func TestKillAtEveryOffsetStream(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxChildren = 4
+	cfg.Sigma = 0.3 // the degraded document still classifies
+	dir := t.TempDir()
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff, SegmentSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := New(cfg)
+	maybeEnableGroupCommit(live)
+	live.AttachWAL(w)
+	live.AddDTD("article", articleDTD())
+	docs := []string{
+		`<article><title>t</title><body>b</body></article>`,
+		`<article><title>t</title><author>a</author><body>b</body></article>`,
+		`<alien><x/><y/></alien>`,
+		`<article><title>u</title><author>a</author><body>c</body></article>`,
+		`<article><title>w</title><body>e</body><ref/><ref/><ref/></article>`,
+		`<article><title>v</title><author>a</author><body>d</body></article>`,
+		`<article><title>x</title><author>a</author><body>f</body></article>`,
+	}
+	for i, doc := range docs {
+		if _, err := live.AddStream(strings.NewReader(doc)); err != nil {
+			t.Fatalf("document %d: %v", i, err)
+		}
+	}
+	if err := live.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string]int{}
+	for _, o := range journalOps(t, dir) {
+		kinds[o.Op+" "+o.Class]++
+	}
+	if kinds["sdoc article"] != 1 || kinds["doc "] != 1 || kinds["doc article"] != len(docs)-2 {
+		t.Fatalf("journal holds %v, want one sdoc and %d doc records in article, one doc in the repository", kinds, len(docs)-2)
+	}
+	killAtEveryOffset(t, cfg, dir)
 }

@@ -10,13 +10,20 @@
 //     kept-child counter and one degraded flag per open element;
 //   - one streaming evaluator per non-gated DTD (O(depth × automaton
 //     states) each);
-//   - the streaming recorder's speculative per-DTD deltas (schema-sized).
+//   - the streaming recorder's speculative per-DTD deltas (schema-sized);
+//   - an intern.Overlay holding the names the symbol table lacked.
+//
+// A run only reads the symbol table. A name it lacks gets the ID it would
+// receive if interned now, after the view the run began with, so the
+// evaluators and the recorder key it like any other label. CommitWinner
+// interns those names, in document order, before it merges the winner's
+// delta, relabelling it first when other writers' interning gave the names
+// other IDs meanwhile.
 //
 // Root gating mirrors classify.fullPlanLocked: a DTD whose declared root
 // differs from the document root is pre-scored 0 without running its
-// alignment (and without a recorder lane — it can only win the fold in
-// the degenerate σ ≤ 0 case, which the source resolves through the tree
-// fallback).
+// alignment, and without a recorder lane (Committable), so it can win the
+// fold only in the degenerate σ ≤ 0 case.
 //
 // Budgets degrade instead of OOMing: an element whose kept children
 // (elements and text nodes alike) exceed MaxChildren is escalated — its
@@ -59,10 +66,6 @@ type Outcome struct {
 	Scores []classify.StreamScore
 	// Degraded reports that at least one element exceeded MaxChildren.
 	Degraded bool
-	// Elements is the element count of the document.
-	Elements int
-	// Doctype is the document's DOCTYPE declaration, if any.
-	Doctype *xmltree.Doctype
 	// Consumed is the number of input bytes read.
 	Consumed int64
 }
@@ -76,6 +79,9 @@ type Ingestor struct {
 	cfg Config
 	sr  *record.StreamRecorder
 	st  *xmltree.Streamer
+	// ov resolves the run's names against the table as it stood when the
+	// run began; CommitWinner interns the names it found new.
+	ov intern.Overlay
 
 	// Per-run state, reused across documents.
 	entries []classify.StreamEntry
@@ -90,22 +96,23 @@ type Ingestor struct {
 }
 
 // NewIngestor returns an Ingestor recording into tab's IDs. tab must be
-// the table shared by the entry pools and the target recorders.
+// the table shared by the entry pools and the target recorders. A run
+// only reads tab; CommitWinner writes the run's new names to it.
 func NewIngestor(tab *intern.Table, cfg Config) *Ingestor {
 	return &Ingestor{tab: tab, cfg: cfg, sr: record.NewStreamRecorder(tab)}
 }
 
-// Recorder exposes the underlying streaming recorder (for tests).
-func (g *Ingestor) Recorder() *record.StreamRecorder { return g.sr }
-
 // Run streams one document from r against entries, returning its per-DTD
 // scores and leaving the recorder's speculative deltas ready for
-// CommitWinner. canon, when non-nil, receives the document's canonical
+// CommitWinner. Names the table lacks get provisional IDs from an
+// intern.Overlay over the table as it stands now; the table itself is not
+// written. canon, when non-nil, receives the document's canonical
 // serialization (byte-identical to Document.String() of the tree path) as
 // a side effect of the parse — the source journals and stores it without
 // ever materializing the tree. On error nothing is committable.
 func (g *Ingestor) Run(r io.Reader, entries []classify.StreamEntry, canon io.Writer) (Outcome, error) {
-	sopts := xmltree.StreamOptions{Options: g.cfg.Parse, Symbols: g.tab, Canon: canon}
+	g.ov.Reset(g.tab.View())
+	sopts := xmltree.StreamOptions{Options: g.cfg.Parse, Symbols: &g.ov, Canon: canon}
 	if g.st == nil {
 		g.st = xmltree.StreamParse(r, sopts)
 	} else {
@@ -188,8 +195,6 @@ func (g *Ingestor) Run(r io.Reader, entries []classify.StreamEntry, canon io.Wri
 		}
 	}
 	out.Scores = g.scores
-	out.Elements = g.sr.Elements()
-	out.Doctype = g.st.Doctype()
 	out.Consumed = g.st.Consumed()
 	return out, nil
 }
@@ -236,33 +241,37 @@ func (g *Ingestor) bumpChild() {
 	}
 }
 
-// Committable reports whether the last run kept a recorder lane for name
-// — false for root-gated DTDs, whose delta was never accumulated. Callers
-// check it before journaling a streamed commit.
-func (g *Ingestor) Committable(name string) bool {
+// lane returns the recorder lane the last run kept for name: -1 for a
+// root-gated DTD, whose delta was never accumulated, or a name not among
+// the run's entries.
+func (g *Ingestor) lane(name string) int {
 	for i, e := range g.entries {
 		if e.Name == name {
-			return g.recLane[i] >= 0
+			return g.recLane[i]
 		}
 	}
-	return false
+	return -1
 }
 
-// CommitWinner merges the named DTD's recorded delta into r, reproducing
-// exactly the state the tree path's Record(doc) would have left. It
-// reports false — with nothing merged — when name was root-gated (or not
-// among the run's entries), in which case the caller must fall back to the
-// tree path.
+// Committable reports whether the last run kept a recorder lane for name.
+func (g *Ingestor) Committable(name string) bool { return g.lane(name) >= 0 }
+
+// CommitWinner interns the last run's new names, in order of first
+// sighting (document order, as intern.InternDocument assigns them), and
+// merges the named DTD's recorded delta into r, reproducing exactly the
+// state the tree path's Record(doc) would have left. Names that another
+// writer's interning moved off their provisional IDs are relabelled in the
+// delta first. It reports false — with nothing interned or merged — when
+// name has no lane (Committable).
 func (g *Ingestor) CommitWinner(name string, r *record.Recorder) (record.DocResult, bool) {
-	for i, e := range g.entries {
-		if e.Name == name {
-			if lane := g.recLane[i]; lane >= 0 {
-				return g.sr.CommitTo(lane, r), true
-			}
-			return record.DocResult{}, false
-		}
+	lane := g.lane(name)
+	if lane < 0 {
+		return record.DocResult{}, false
 	}
-	return record.DocResult{}, false
+	if m := g.ov.Commit(g.tab); m != nil {
+		g.sr.Relabel(lane, m)
+	}
+	return g.sr.CommitTo(lane, r), true
 }
 
 // release returns borrowed evaluators after a failed run.

@@ -128,6 +128,55 @@ func TestIngestMatchesTreePath(t *testing.T) {
 	}
 }
 
+// TestCommitWinnerRelabelsMovedNames: when other names are interned
+// between a run and its commit, the document's new names take other IDs
+// than the provisional ones its delta is keyed by. CommitWinner relabels
+// the delta, so the recorder ends exactly as Record(doc) leaves it under
+// the final IDs, and a later tree document merges into the same sequence,
+// group and pair entries.
+func TestCommitWinnerRelabelsMovedNames(t *testing.T) {
+	tab := intern.NewTable()
+	c := classify.NewWithTable(0.1, similarity.DefaultConfig(), tab)
+	d, err := dtd.ParseString(`<!ELEMENT r (a, b)><!ELEMENT a EMPTY><!ELEMENT b EMPTY>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Name = "r"
+	c.Set("r", d)
+	// q and p repeat twice each (a group), q's children u and v likewise,
+	// and t nests s: plus elements at two levels.
+	raw := `<r><a/><q><u/><u/><v/><v/></q><p/><q><v/><w/></q><b/><p/><t><s/></t></r>`
+	ing := NewIngestor(tab, Config{Decay: similarity.DefaultConfig().Decay})
+	if _, err := ing.Run(strings.NewReader(raw), c.StreamEntries(), nil); err != nil {
+		t.Fatal(err)
+	}
+	// Another commit interns v, an unrelated name and p meanwhile.
+	tab.InternAll([]string{"v", "zz", "p"})
+	streamRec := record.NewWithTable(d, tab)
+	if _, ok := ing.CommitWinner("r", streamRec); !ok {
+		t.Fatal("winner not committable")
+	}
+	names := tab.Names()
+	if got, want := strings.Join(names[len(names)-8:], ","), "v,zz,p,q,u,w,t,s"; got != want {
+		t.Errorf("symbols end %s, want %s", got, want)
+	}
+	doc, err := xmltree.ParseString(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intern.InternDocument(tab, doc.Root)
+	treeRec := record.NewWithTable(d, tab)
+	treeRec.Record(doc)
+	if a, b := recSnapshotJSON(t, streamRec), recSnapshotJSON(t, treeRec); a != b {
+		t.Fatalf("relabelled delta diverges from the tree path\nstream: %s\ntree:   %s", a, b)
+	}
+	streamRec.Record(doc)
+	treeRec.Record(doc)
+	if a, b := recSnapshotJSON(t, streamRec), recSnapshotJSON(t, treeRec); a != b {
+		t.Errorf("a second document keys apart from the relabelled delta\nstream: %s\ntree:   %s", a, b)
+	}
+}
+
 // TestIngestRootGate checks that DTDs whose declared root cannot match are
 // gated (scored 0 without a recorder lane) and that CommitWinner refuses
 // them.

@@ -11,7 +11,7 @@ package xmltree
 //
 // Three optional taps make the streamer a drop-in for the ingest pipeline:
 //
-//   - Symbols: an Interner (in practice *intern.Table) resolving element
+//   - Symbols: an Interner (in practice an intern.Overlay) resolving element
 //     names straight out of the read window, so events carry dense label
 //     IDs and canonical (pointer-stable) name strings with zero
 //     steady-state allocation;
@@ -60,7 +60,7 @@ type Event struct {
 }
 
 // Interner resolves a byte-spelled element name to a dense label ID and a
-// canonical string without copying on the found path. *intern.Table
+// canonical string without copying on the found path. *intern.Overlay
 // satisfies it; xmltree declares the interface (rather than importing the
 // intern package) because intern already imports xmltree.
 type Interner interface {

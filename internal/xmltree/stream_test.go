@@ -51,12 +51,9 @@ func treeEvents(root *xmltree.Node) []xmltree.Event {
 
 // streamCollect drives the streamer over input and returns its events,
 // canonical bytes and doctype.
-func streamCollect(input string, opts xmltree.Options, tab *intern.Table) ([]xmltree.Event, string, *xmltree.Doctype, error) {
+func streamCollect(input string, opts xmltree.Options, symbols xmltree.Interner) ([]xmltree.Event, string, *xmltree.Doctype, error) {
 	var canon bytes.Buffer
-	so := xmltree.StreamOptions{Options: opts, Canon: &canon}
-	if tab != nil {
-		so.Symbols = tab
-	}
+	so := xmltree.StreamOptions{Options: opts, Symbols: symbols, Canon: &canon}
 	s := xmltree.StreamParse(strings.NewReader(input), so)
 	var events []xmltree.Event
 	err := s.Events(func(ev xmltree.Event) error {
@@ -74,7 +71,10 @@ func checkStreamTree(t *testing.T, label, input string, opts xmltree.Options) {
 	checkParseLegacy(t, label, input, opts)
 	doc, treeErr := xmltree.LegacyParseWithOptions(strings.NewReader(input), opts)
 	tab := intern.NewTable()
-	events, canon, dt, streamErr := streamCollect(input, opts, tab)
+	var ov intern.Overlay
+	ov.Reset(tab.View())
+	events, canon, dt, streamErr := streamCollect(input, opts, &ov)
+	tab.InternAll(ov.Names())
 	if (treeErr == nil) != (streamErr == nil) {
 		t.Errorf("%s: tree err %v, stream err %v", label, treeErr, streamErr)
 		return
@@ -93,7 +93,8 @@ func checkStreamTree(t *testing.T, label, input string, opts xmltree.Options) {
 			t.Errorf("%s: event %d stream %+v tree %+v", label, i, got, want[i])
 			return
 		}
-		// The interned ID must resolve back to the name.
+		// The provisional ID must resolve back to the name once the
+		// overlay's names are interned.
 		if got.Kind != xmltree.TextEvent && tab.Name(got.ID) != got.Name {
 			t.Errorf("%s: event %d ID %d resolves to %q, want %q", label, i, got.ID, tab.Name(got.ID), got.Name)
 		}

@@ -205,6 +205,41 @@ func BenchmarkStreamIngestLog(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamIngestLogWAL is BenchmarkStreamIngestLog made durable: a
+// SyncInterval WAL and group commit, durable-stream's commit path minus the
+// fsync. The spool, the journal record and the group queue are what it
+// adds per document.
+func BenchmarkStreamIngestLogWAL(b *testing.B) {
+	d := dtd.MustParse(eventLogDTDSrc)
+	d.Name = "log"
+	src := source.New(source.DefaultConfig())
+	src.EnableGroupCommit(source.GroupCommitOptions{})
+	l, err := dtdevolve.OpenWAL(b.TempDir(), dtdevolve.WALOptions{Sync: dtdevolve.SyncInterval})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src.AttachWAL(l)
+	defer src.CloseWAL()
+	src.AddDTD("log", d)
+	doc := logDocument()
+	rd := strings.NewReader(doc)
+	if _, err := src.AddStream(rd); err != nil { // warm the pools
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(doc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(doc)
+		res, err := src.AddStream(rd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Classified {
+			b.Fatal("misclassified")
+		}
+	}
+}
+
 // chainDTDSrc admits arbitrarily deep <s><t>x</t><s>…</s></s> chains.
 const chainDTDSrc = `<!ELEMENT s (t, s?)> <!ELEMENT t (#PCDATA)>`
 
