@@ -472,26 +472,8 @@ func BenchmarkSourceIngestBatch(b *testing.B) {
 // with group commit batching their journal appends so the group shares one
 // fsync — taken off the write lock entirely (wal.Flush), so scoring and
 // queue growth overlap the disk round-trip. The custom metrics report
-// sustained throughput and the amortized fsync cost; compare with
-// BenchmarkConcurrentAddSyncAlwaysSerial (the same writers, each paying
-// its own fsync) for the group-commit speedup. The ratio scales with
-// fsync latency over per-document CPU cost: on a single-core host with a
-// fast fsync (~180µs) classification is the bottleneck and the ratio sits
-// near 3–4×; with more cores, or the millisecond-class fsyncs of typical
-// cloud disks, the serial path stays pinned at 1/fsync-latency while the
-// group path does not, and the ratio widens accordingly.
+// sustained throughput and the amortized fsync cost.
 func BenchmarkConcurrentAddSyncAlways(b *testing.B) {
-	benchConcurrentSyncAlways(b, true)
-}
-
-// BenchmarkConcurrentAddSyncAlwaysSerial is the per-commit-fsync baseline
-// for BenchmarkConcurrentAddSyncAlways. It is not in the benchgate baseline:
-// its ns/op is the disk's fsync latency, not code under test.
-func BenchmarkConcurrentAddSyncAlwaysSerial(b *testing.B) {
-	benchConcurrentSyncAlways(b, false)
-}
-
-func benchConcurrentSyncAlways(b *testing.B, group bool) {
 	const writers = 16
 	docs := benchCorpus(200, 0.3)
 	cfg := source.DefaultConfig()
@@ -504,9 +486,6 @@ func benchConcurrentSyncAlways(b *testing.B, group bool) {
 	}
 	s.AttachWAL(l)
 	defer s.CloseWAL()
-	if group {
-		s.EnableGroupCommit(source.GroupCommitOptions{})
-	}
 	start := l.Stats().Syncs
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -566,7 +545,6 @@ func benchShardedConcurrentAdd(b *testing.B, shards int) {
 	if err := r.AddDTD("doc", benchDTD); err != nil {
 		b.Fatal(err)
 	}
-	r.EnableGroupCommit(dtdevolve.GroupCommitOptions{})
 	syncs := func() int64 {
 		var total int64
 		for i := 0; i < r.Shards(); i++ {

@@ -11,7 +11,6 @@
 //	          [-store dir] [-snapshot file] [-pprof] \
 //	          [-wal dir] [-fsync always|interval|off] [-fsync-interval 100ms] \
 //	          [-wal-segment 4194304] [-checkpoint 30s] \
-//	          [-group-commit] [-group-max 64] [-group-wait 0] \
 //	          [-shards 1] [-shard-key X-Doc-Key] \
 //	          [-follow url] [-replica-listen :8081] [-max-staleness 0] \
 //	          [-follower-id id]
@@ -22,14 +21,12 @@
 // classified/unclassified outcome. GET /metrics reports candidate counts
 // and the achieved prune ratio. See DESIGN.md §12.
 //
-// With -group-commit, concurrent commits are batched by a leader/follower
-// scheme: the first committer drains every commit that queued behind it
-// (up to -group-max), journals them as one WAL batch and — under -fsync
-// always — pays one fsync for the whole group, which is what makes
-// synchronous durability viable at production write rates. -group-wait
-// optionally holds a fresh leader back so larger groups form. GET /metrics
-// reports the group-size distribution, commit-queue depth and amortized
-// fsyncs per document.
+// Every commit queues for a leader/follower group commit: the first
+// caller to queue leads, drains every commit that queued behind it (up to
+// 64), journals them as one WAL batch and — under -fsync always — pays one
+// fsync for the whole group, which is what makes synchronous durability
+// viable at production write rates. GET /metrics reports the group-size
+// distribution, commit-queue depth and amortized fsyncs per document.
 //
 // With -wal the service journals every state-changing operation to a
 // write-ahead log before acknowledging it, recovers at startup from the
@@ -117,9 +114,6 @@ func main() {
 	fsyncEvery := flag.Duration("fsync-interval", 100*time.Millisecond, "flush period under -fsync interval")
 	walSegment := flag.Int64("wal-segment", 4<<20, "WAL segment size in bytes")
 	checkpointEvery := flag.Duration("checkpoint", 30*time.Second, "background checkpoint interval (with -wal)")
-	groupCommit := flag.Bool("group-commit", false, "batch concurrent commits into shared WAL appends (one fsync per group)")
-	groupMax := flag.Int("group-max", source.DefaultMaxGroup, "maximum documents per commit group (with -group-commit)")
-	groupWait := flag.Duration("group-wait", 0, "how long a commit leader waits for its group to fill (with -group-commit; 0: natural batching)")
 	shards := flag.Int("shards", 1, "number of independent ingest shards (1: unsharded; omit to adopt an existing -wal directory's manifest)")
 	shardKey := flag.String("shard-key", api.DefaultKeyHeader, "request header carrying the document routing key (with -shards)")
 	shardSeed := flag.Uint64("shard-seed", 0, "rendezvous hash seed for a NEW sharded deployment (0: default; existing manifests keep their seed)")
@@ -188,9 +182,6 @@ func main() {
 			walDir:          *walDir,
 			syncPolicy:      syncPolicy,
 			checkpointEvery: *checkpointEvery,
-			groupCommit:     *groupCommit,
-			groupMax:        *groupMax,
-			groupWait:       *groupWait,
 			pprof:           *pprofFlag,
 		})
 		return
@@ -204,12 +195,6 @@ func main() {
 	src, err := buildSource(cfg, checkpointPath, *walDir, walOpts)
 	if err != nil {
 		log.Fatalf("dtdserved: %v", err)
-	}
-	if *groupCommit {
-		// After recovery: replay goes through the serial path; live traffic
-		// commits through the leader/follower group queue.
-		src.EnableGroupCommit(source.GroupCommitOptions{MaxGroup: *groupMax, MaxWait: *groupWait})
-		log.Printf("dtdserved: group commit enabled (max %d documents/group, wait %s)", *groupMax, *groupWait)
 	}
 	if *storeDir != "" {
 		// The store mirrors the WAL's fsync discipline: with journaling on,
@@ -267,9 +252,6 @@ type shardedParams struct {
 	walDir          string
 	syncPolicy      dtdevolve.SyncPolicy
 	checkpointEvery time.Duration
-	groupCommit     bool
-	groupMax        int
-	groupWait       time.Duration
 	pprof           bool
 }
 
@@ -307,10 +289,6 @@ func runSharded(cfg dtdevolve.Config, walOpts dtdevolve.WALOptions, p shardedPar
 		}
 		log.Printf("dtdserved: recovered %d shards (seed %d; %d checkpoints restored, %d WAL records replayed)",
 			router.Shards(), router.Seed(), restored, replayed)
-	}
-	if p.groupCommit {
-		router.EnableGroupCommit(source.GroupCommitOptions{MaxGroup: p.groupMax, MaxWait: p.groupWait})
-		log.Printf("dtdserved: group commit enabled on every shard (max %d documents/group, wait %s)", p.groupMax, p.groupWait)
 	}
 	if p.storeDir != "" {
 		if err := router.EnableStore(p.storeDir, docstore.WithSync(p.syncPolicy)); err != nil {

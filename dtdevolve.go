@@ -79,9 +79,6 @@ type (
 	AddResult = source.AddResult
 	// DTDStatus summarizes one DTD's state inside a Source.
 	DTDStatus = source.DTDStatus
-	// GroupCommitOptions configures Source.EnableGroupCommit: batched
-	// journal appends with one fsync per group of concurrent commits.
-	GroupCommitOptions = source.GroupCommitOptions
 )
 
 // Component types for advanced use.

@@ -234,7 +234,6 @@ func TestSnapshotEndpoint(t *testing.T) {
 func TestMetricsGroupCommitFields(t *testing.T) {
 	cfg := source.DefaultConfig()
 	src := source.New(cfg)
-	src.EnableGroupCommit(source.GroupCommitOptions{})
 	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncAlways})
 	if err != nil {
 		t.Fatal(err)

@@ -253,8 +253,8 @@ type IngestSnapshot struct {
 	// leader/follower commit pipeline, the current commit-queue depth, and
 	// the amortized fsync cost per document (WALSyncs/Added; well under 1
 	// when group commit is absorbing concurrent writers). The queue depth is
-	// always present so dashboards can tell "group commit off" (other fields
-	// absent) from "on but idle".
+	// always present, 0 when idle; the group fields are absent until a live
+	// group commits.
 	WALGroups        int64   `json:"wal_groups,omitempty"`
 	WALGroupSizeMin  int64   `json:"wal_group_size_min,omitempty"`
 	WALGroupSizeMean float64 `json:"wal_group_size_mean,omitempty"`

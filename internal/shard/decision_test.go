@@ -23,7 +23,6 @@ func TestRecoverRouterIndependentOfScorer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maybeEnableGroupCommit(live)
 	if err := live.AddDTD("article", articleDTD()); err != nil {
 		t.Fatal(err)
 	}

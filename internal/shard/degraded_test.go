@@ -15,7 +15,6 @@ import (
 func degradedRouter(t *testing.T) (*Router, *faultfs.FS, int) {
 	t.Helper()
 	r := New(testConfig(), Options{Shards: 4})
-	maybeEnableGroupCommit(r)
 	const target = 2
 	fs := faultfs.New()
 	for i := 0; i < r.Shards(); i++ {
@@ -145,7 +144,6 @@ func TestDegradedShardRefusesBatchAndBroadcast(t *testing.T) {
 // degraded.
 func TestAllShardsDegradedTripsRouter(t *testing.T) {
 	r := New(testConfig(), Options{Shards: 2})
-	maybeEnableGroupCommit(r)
 	fs := faultfs.New()
 	for i := 0; i < r.Shards(); i++ {
 		w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncOff, FS: fs})

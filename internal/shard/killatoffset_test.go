@@ -111,7 +111,6 @@ func TestKillAtEveryOffsetSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maybeEnableGroupCommit(live)
 	if err := live.AddDTD("article", articleDTD()); err != nil {
 		t.Fatal(err)
 	}

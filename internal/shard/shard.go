@@ -507,14 +507,10 @@ func (r *Router) Snapshot() ([]byte, error) {
 	return json.Marshal(merged)
 }
 
-// EnableGroupCommit routes every shard's commits through its own
-// leader/follower group-commit queue (one WAL append + one fsync per group
-// per shard; see source/groupcommit.go).
-func (r *Router) EnableGroupCommit(opts source.GroupCommitOptions) {
-	for _, s := range r.shards {
-		s.EnableGroupCommit(opts)
-	}
-}
+// EnableGroupCommit does nothing: every shard commits through its own
+// group-commit queue already (source/groupcommit.go). It stays for
+// httpbench/server.go, which calls it.
+func (r *Router) EnableGroupCommit(source.GroupCommitOptions) {}
 
 // EnableStore attaches a per-shard document store under dir (shard-000,
 // shard-001, … subdirectories).

@@ -50,15 +50,6 @@ func articleDTD() *dtd.DTD {
 	return d
 }
 
-// maybeEnableGroupCommit mirrors the source package's env hook: CI runs the
-// fault-injection suite with DTDEVOLVE_GROUP_COMMIT both unset and set, so
-// the sharded durability tests exercise both commit pipelines too.
-func maybeEnableGroupCommit(r *Router) {
-	if os.Getenv("DTDEVOLVE_GROUP_COMMIT") != "" {
-		r.EnableGroupCommit(source.GroupCommitOptions{})
-	}
-}
-
 // snapshotOf decodes a shard's snapshot for deep comparison, dropping the
 // WAL position (recovered shards checkpoint at different offsets).
 func snapshotOf(t *testing.T, s *source.Source) map[string]any {
@@ -344,7 +335,6 @@ func TestRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maybeEnableGroupCommit(live)
 	if err := live.AddDTD("article", articleDTD()); err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +413,6 @@ func TestCheckpointersStaggeredAndFinal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	maybeEnableGroupCommit(live)
 	if err := live.AddDTD("article", articleDTD()); err != nil {
 		t.Fatal(err)
 	}

@@ -267,7 +267,7 @@ func streamDPSteps(p *Pool, cfg Config, root *xmltree.Node) (int, Result) {
 	se.dpSteps = 0
 	var walk func(n *xmltree.Node) float64
 	walk = func(n *xmltree.Node) float64 {
-		se.Start(p.Table().Intern(n.Name), n.Name)
+		se.Start(p.Table().Intern(n.Name))
 		sum := 0.0
 		for _, c := range n.Children {
 			if c.Kind == xmltree.Element {

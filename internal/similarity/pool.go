@@ -1,6 +1,8 @@
 package similarity
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"dtdevolve/internal/dtd"
@@ -9,19 +11,59 @@ import (
 )
 
 // sharedTables holds the per-DTD memo tables shared by every Evaluator of a
-// Pool: the symbol table, the required weights of the declared elements,
-// the compiled alignment automata, and the interned label sets of mixed
-// models. Each per-DTD table is sized by the DTD, not by the symbol table
-// all the DTDs of a source share. All are built once at Pool construction
-// and are read-only afterwards (the Table extends itself internally and is
-// safe for concurrent use), so pooled evaluators consult them without
-// locking.
+// Pool: the symbol table, the declarations by interned ID, the required
+// weights of the declared elements, the compiled alignment automata, and
+// the interned label sets of mixed models. Each per-DTD table is sized by
+// the DTD, not by the symbol table all the DTDs of a source share. All are
+// built once — the declarations on first use, the rest at Pool
+// construction — and are read-only afterwards (the Table extends itself
+// internally and is safe for concurrent use), so pooled evaluators consult
+// them without locking.
 type sharedTables struct {
-	tab   *intern.Table
-	req   map[string]float64
-	autos map[*dtd.Content]automaton
-	mixed map[*dtd.Content]*labelSet
+	tab *intern.Table
+	// decls are the declared elements, by ascending interned ID. Only the
+	// streaming evaluator reads them, so the pool's first GetStream builds
+	// them (declOnce) and a pool that never streams does without.
+	declOnce sync.Once
+	decls    []declRef
+	req      map[string]float64
+	autos    map[*dtd.Content]automaton
+	mixed    map[*dtd.Content]*labelSet
 }
+
+// declRef is one declared element: the interned ID of its name and its
+// model (nil for ANY).
+type declRef struct {
+	id    int32
+	model *dtd.Content
+}
+
+// indexDecls fills the declaration table from the IDs InternDTD gave d's
+// names. They were interned before the pool was built, so a streamed
+// document's provisional ID for a name the symbol table lacked when the
+// document started is none of them, and reads as undeclared.
+func (t *sharedTables) indexDecls(d *dtd.DTD) {
+	t.decls = make([]declRef, 0, len(d.Elements))
+	for name, model := range d.Elements { // dtdvet:allow replaydet -- sorted by ID below
+		if id := t.tab.ID(name); id != intern.None {
+			t.decls = append(t.decls, declRef{id: id, model: model})
+		}
+	}
+	slices.SortFunc(t.decls, func(a, b declRef) int { return cmp.Compare(a.id, b.id) })
+}
+
+// decl returns the model declared for the element with interned ID id,
+// and whether the DTD declares it.
+// dtdvet:noalloc
+func (t *sharedTables) decl(id int32) (*dtd.Content, bool) {
+	i, ok := slices.BinarySearchFunc(t.decls, id, compareDeclID)
+	if !ok {
+		return nil, false
+	}
+	return t.decls[i].model, true
+}
+
+func compareDeclID(r declRef, id int32) int { return cmp.Compare(r.id, id) }
 
 // Pool hands out Evaluators for one DTD so that many goroutines can score
 // documents against it concurrently. The evaluator memo structures are

@@ -111,6 +111,7 @@ type StreamEval struct {
 // GetStream borrows a streaming evaluator for the pool's DTD. Return it
 // with PutStream.
 func (p *Pool) GetStream() *StreamEval {
+	p.shared.declOnce.Do(func() { p.shared.indexDecls(p.d) })
 	if v := p.streams.Get(); v != nil {
 		se := v.(*StreamEval)
 		se.Reset()
@@ -134,15 +135,15 @@ func (se *StreamEval) Reset() {
 	se.closed = false
 }
 
-// Start opens an element with interned label id and tag name.
-func (se *StreamEval) Start(id int32, name string) {
+// Start opens an element with interned label id.
+func (se *StreamEval) Start(id int32) {
 	if se.n == len(se.frames) {
 		se.frames = append(se.frames, sframe{})
 	}
 	f := &se.frames[se.n]
 	depth := se.n
 	se.n++
-	decl, declared := se.e.d.Elements[name]
+	decl, declared := se.e.shared.decl(id)
 	f.id, f.decl, f.declared = id, decl, declared
 	f.triples = declared && depth < se.e.cfg.MaxDepth
 	f.degraded, f.hasText, f.deferred = false, false, false

@@ -28,7 +28,7 @@ func streamScore(p *Pool, cfg Config, root *xmltree.Node, degradeAt int) (Result
 	closed := 0
 	var walk func(n *xmltree.Node) float64
 	walk = func(n *xmltree.Node) float64 {
-		se.Start(p.Table().Intern(n.Name), n.Name)
+		se.Start(p.Table().Intern(n.Name))
 		sum := 0.0
 		for _, c := range n.Children {
 			switch c.Kind {

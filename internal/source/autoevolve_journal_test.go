@@ -13,17 +13,25 @@ import (
 // driftWorkload drives a source through a workload that fires both an
 // automatic threshold evolution and a trigger (evolve + reclassify): a DTD,
 // a trigger rule, unclassified repository documents, then enough drifted
-// articles to cross MinDocs and τ.
-func driftWorkload(t *testing.T, s *Source) {
+// articles to cross MinDocs and τ. With batch, the documents commit as one
+// AddBatch, one group, so the decisions are journaled mid-group; without,
+// each commits on its own.
+func driftWorkload(t *testing.T, s *Source, batch bool) {
 	t.Helper()
 	s.AddDTD("article", articleDTD())
 	if err := s.AddTriggerRule("on article when docs >= 4 and check_ratio > 0.1 do evolve, reclassify"); err != nil {
 		t.Fatal(err)
 	}
-	s.Add(parseDoc(t, `<invoice><total>3</total></invoice>`))
-	s.Add(parseDoc(t, `<invoice><total>4</total></invoice>`))
+	srcs := []string{`<invoice><total>3</total></invoice>`, `<invoice><total>4</total></invoice>`}
 	for i := 0; i < 8; i++ {
-		s.Add(parseDoc(t, `<article><title>t</title><author>a</author><body>b</body></article>`))
+		srcs = append(srcs, `<article><title>t</title><author>a</author><body>b</body></article>`)
+	}
+	if batch {
+		s.AddBatch(parseDocs(t, srcs))
+		return
+	}
+	for _, src := range srcs {
+		s.Add(parseDoc(t, src))
 	}
 }
 
@@ -32,7 +40,9 @@ func driftWorkload(t *testing.T, s *Source) {
 // ingest are journaled as logical records of their own ("autoevolve",
 // "autoreclassify"), and replay applies the recorded decisions rather than
 // re-deriving them — so recovery reproduces the live state exactly, and a
-// replay that skips the decision records derives nothing on its own.
+// replay that skips the decision records derives nothing on its own. The
+// "serial" mode commits one document at a time; "group-commit" commits the
+// documents as one group, with the decisions journaled inside it.
 func TestAutoEvolutionJournaledAndReplayed(t *testing.T) {
 	for _, grouped := range []bool{false, true} {
 		name := "serial"
@@ -46,11 +56,8 @@ func TestAutoEvolutionJournaledAndReplayed(t *testing.T) {
 				t.Fatal(err)
 			}
 			live := New(testConfig())
-			if grouped {
-				live.EnableGroupCommit(GroupCommitOptions{})
-			}
 			live.AttachWAL(w)
-			driftWorkload(t, live)
+			driftWorkload(t, live, grouped)
 			// Reclassified can stay 0 — the repository's invoices never
 			// classify as articles — but the trigger still ran reclassify,
 			// which the journal-count assertions below pin.

@@ -1,12 +1,11 @@
 // The one commit step (DESIGN.md §8): every document, tree or streamed,
 // live or replayed, reaches the source's state as a commitReq through
-// commitOneLocked, serially or grouped (groupcommit.go).
+// commitOneLocked, run by the group-commit queue (groupcommit.go).
 package source
 
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"dtdevolve/internal/classify"
 	"dtdevolve/internal/intern"
@@ -20,25 +19,31 @@ import (
 // bytes (nil in bounded mode), sdoc the child budget it degraded under (0:
 // it did not). payload is the journal record encoded off the lock (nil:
 // the step encodes it). The step fills res, or err when the request could
-// not commit. done closes once the request is durable and applied;
-// promote hands its waiter leadership of the group-commit queue.
+// not commit; panicked holds what the step raised, if it panicked. done
+// signals once the request is durable and applied; promote hands its
+// waiter leadership of the group-commit queue. Each is signalled at most
+// once per use and received by the request's waiter, so a pooled request
+// keeps the pair, empty, across uses.
 type commitReq struct {
-	doc     *xmltree.Document
-	ing     *stream.Ingestor
-	spool   []byte
-	sdoc    int
-	cls     classify.Result
-	gen     uint64
-	payload []byte
-	res     AddResult
-	err     error
-	done    chan struct{}
-	promote chan struct{}
+	doc      *xmltree.Document
+	ing      *stream.Ingestor
+	spool    []byte
+	sdoc     int
+	cls      classify.Result
+	gen      uint64
+	payload  []byte
+	res      AddResult
+	err      error
+	panicked any
+	done     chan struct{}
+	promote  chan struct{}
 }
 
 // reqPool holds commit requests: every document takes one, and commit is
 // done with it when it returns, so a request costs no allocation.
-var reqPool = sync.Pool{New: func() any { return new(commitReq) }}
+var reqPool = sync.Pool{New: func() any {
+	return &commitReq{done: make(chan struct{}, 1), promote: make(chan struct{}, 1)}
+}}
 
 // newReq returns a request for doc (nil for a streamed document), scored
 // as cls at generation gen; freeReq takes it back once commit returned.
@@ -48,9 +53,10 @@ func newReq(doc *xmltree.Document, cls classify.Result, gen uint64) *commitReq {
 	return r
 }
 
-// freeReq clears r, so the pool holds on to no document, and pools it.
+// freeReq clears r but for its signal channels, so the pool holds on to
+// no document, and pools it.
 func freeReq(r *commitReq) {
-	*r = commitReq{}
+	*r = commitReq{done: r.done, promote: r.promote}
 	reqPool.Put(r)
 }
 
@@ -75,25 +81,32 @@ func (r *commitReq) record() walOp {
 // reports the failure.
 func (r *commitReq) encode() { r.payload, _ = encodeOp(r.record()) }
 
-// commit runs reqs, in order, through the commit step: through the
-// group-commit queue when it is enabled, otherwise in one write-lock
-// section, where each record is appended — and, under SyncAlways,
-// fsynced — before its state applies.
+// commit runs reqs, in order, through the commit step on the group-commit
+// queue, and returns once every one of them is durable and applied. A
+// panic in the step surfaces here, on the goroutine whose request raised
+// it, after all of reqs committed; the queue, the lock and the other
+// requests of its group carry on.
 func (s *Source) commit(reqs ...*commitReq) {
-	if gc := s.committer.Load(); gc != nil {
-		gc.submit(reqs)
-		for _, r := range reqs {
-			gc.wait(r)
-		}
-		return
-	}
-	start := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.gc.submit(reqs)
+	var p any
 	for _, r := range reqs {
-		s.commitOneLocked(r)
+		s.gc.wait(r)
+		if p == nil {
+			p = r.panicked
+		}
 	}
-	s.metrics.ObserveCommitPhase(time.Since(start)) // dtdvet:allow replaydet -- metrics only
+	if p != nil {
+		panic(p)
+	}
+}
+
+// stepLocked runs the commit step for r, keeping a panic for r's waiter
+// to raise, so the leader still journals, flushes and acknowledges the
+// rest of its group and releases the lock.
+// dtdvet:requires mu
+func (s *Source) stepLocked(r *commitReq) {
+	defer func() { r.panicked = recover() }()
+	s.commitOneLocked(r)
 }
 
 // commitOneLocked is the commit step: re-score a stale request, journal

@@ -39,7 +39,7 @@ const (
 )
 
 // decisionWorkload drives s through every kind of decision the journal
-// carries: tree, streamed and group-committed documents; degraded ("sdoc")
+// carries: tree, streamed and batched documents; degraded ("sdoc")
 // and repository documents; and check-phase, trigger-fired and forced
 // evolutions and reclassifications, some of which recover repository
 // documents. It returns every document's result, for the similarities.
@@ -81,7 +81,6 @@ func decisionWorkload(t *testing.T, s *Source) []AddResult {
 	add(invoiceDoc)
 	s.ReclassifyRepository()
 
-	s.EnableGroupCommit(GroupCommitOptions{})
 	batch := []string{mildArticle, farArticle, mildArticle, invoiceDoc, mildArticle, mildArticle, farArticle, mildArticle, mildArticle}
 	results = append(results, s.AddBatch(parseDocs(t, batch))...)
 	add(`<list><item>i</item><item>j</item></list>`)
@@ -265,7 +264,6 @@ func TestRecoverIndependentOfScorer(t *testing.T) {
 	})
 	t.Run("replica", func(t *testing.T) {
 		s := New(cfg)
-		s.EnableGroupCommit(GroupCommitOptions{})
 		s.SetReplica(true)
 		if _, err := wal.Replay(dir, s.ApplyWALRecord); err != nil {
 			t.Fatal(err)
@@ -289,7 +287,6 @@ func TestRecoverGroupCommitIndependentOfScorer(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := New(decisionConfig())
-	live.EnableGroupCommit(GroupCommitOptions{})
 	live.AttachWAL(w)
 	live.AddDTD("article", articleDTD())
 	results := live.AddBatch(parseDocs(t, []string{farArticle, invoiceDoc}))

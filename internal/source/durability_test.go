@@ -151,7 +151,6 @@ func TestRecoverFromWALOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := New(testConfig())
-	maybeEnableGroupCommit(live)
 	live.AttachWAL(w)
 	runScript(t, live, durabilityScript)
 	if err := live.CloseWAL(); err != nil {
@@ -191,7 +190,6 @@ func TestCheckpointThenTailReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := New(testConfig())
-	maybeEnableGroupCommit(live)
 	live.AttachWAL(w)
 
 	cut := 7
@@ -296,7 +294,6 @@ func TestKillAtEveryOffsetSourceState(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := New(testConfig())
-	maybeEnableGroupCommit(live)
 	live.AttachWAL(w)
 	runScript(t, live, script)
 	if err := live.CloseWAL(); err != nil {
@@ -392,7 +389,6 @@ func TestDegradedModeOnWALFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(testConfig())
-	maybeEnableGroupCommit(s)
 	s.AttachWAL(w)
 	s.AddDTD("article", articleDTD())
 	if err := s.Degraded(); err != nil {
@@ -429,7 +425,6 @@ func TestCrashDuringConcurrentAddBatch(t *testing.T) {
 	cfg := testConfig()
 	cfg.Sigma = 0.6
 	s := New(cfg)
-	maybeEnableGroupCommit(s)
 	s.AttachWAL(w)
 	s.AddDTD("article", articleDTD())
 
@@ -528,7 +523,6 @@ func TestCheckpointerBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(testConfig())
-	maybeEnableGroupCommit(s)
 	s.AttachWAL(w)
 	s.AddDTD("article", articleDTD())
 	stop := s.StartCheckpointer(ckpt, 5*time.Millisecond, func(err error) { t.Errorf("checkpoint: %v", err) })

@@ -1,27 +1,28 @@
-// Group commit for the ingest hot path (DESIGN.md §8, §10).
+// Group commit: the one commit schedule (DESIGN.md §8, §10).
 //
-// A serial commit journals — and, under SyncAlways, fsyncs — while holding
-// the write lock, so concurrent writers serialize behind the disk:
-// throughput caps at ~1/fsync-latency documents per second. Group commit is
-// the classic database answer: while one fsync is in flight, every commit
-// that arrives queues up, and the next fsync covers them all.
+// Journaling — and, under SyncAlways, an fsync — inside the write lock
+// would serialize concurrent writers behind the disk: throughput would cap
+// at ~1/fsync-latency documents per second. Group commit is the classic
+// database answer: while one fsync is in flight, every commit that arrives
+// queues up, and the next fsync covers them all.
 //
 // The scheme is leader/follower with no dedicated goroutine. A committing
-// caller — Add, AddBatch or AddStream — pre-serializes its journal payload
-// *before* any lock, then enqueues a commitReq. The first enqueuer becomes
-// the leader: it drains up to maxGroup requests, runs each through the one
-// commit step (commit.go), journals all their payloads with one batched
-// WAL write (one mutex acquisition, one write) and applies every request's
-// state changes under a single write-lock section, then releases the lock,
-// runs the group's single fsync (wal.Flush) outside it — so readers score
-// the next group while the disk round-trip is in flight — and only then
-// closes the followers' done channels: acknowledgement strictly follows
-// durability. A leader that found its own requests in the drained
-// group hands leadership to the head of the remaining queue (promote
-// channel) instead of draining forever, so a leader's latency is bounded
-// by its own group, not by the arrival rate; the handoff happens after
-// the flush, so the successor's group keeps filling for the whole disk
-// round-trip and its size tracks fsync latency (see lead).
+// caller — Add, AddBatch, AddStream, or a replayed or follower-applied
+// record — pre-serializes its journal payload *before* any lock, then
+// enqueues a commitReq. The first enqueuer becomes the leader: it drains
+// up to DefaultMaxGroup requests, runs each through the one commit step
+// (commit.go), journals all their payloads with one batched WAL write (one
+// mutex acquisition, one write) and applies every request's state changes
+// under a single write-lock section, then releases the lock, runs the
+// group's single fsync (wal.Flush) outside it — so readers score the next
+// group while the disk round-trip is in flight — and only then signals the
+// requests' done channels: acknowledgement strictly follows durability. A
+// leader that found its own requests in the drained group hands
+// leadership to the head of the remaining queue (promote channel) instead
+// of draining forever, so a leader's latency is bounded by its own group,
+// not by the arrival rate; the handoff happens after the flush, so the
+// successor's group keeps filling for the whole disk round-trip and its
+// size tracks fsync latency (see lead).
 //
 // Replay safety needs no group framing: the batched append leaves the
 // exact byte stream sequential Appends would, payloads are in queue order,
@@ -33,61 +34,48 @@
 package source
 
 import (
+	"slices"
 	"sync"
 	"time"
 
 	"dtdevolve/internal/wal"
 )
 
-// DefaultMaxGroup bounds how many documents one leader journals in a
-// single WAL batch when GroupCommitOptions.MaxGroup is zero.
+// DefaultMaxGroup bounds how many documents one leader commits, and
+// journals as a single WAL batch. It stays exported for
+// httpbench/server.go, which passes it in GroupCommitOptions.
 const DefaultMaxGroup = 64
 
-// GroupCommitOptions configures the group-commit coordinator.
+// GroupCommitOptions is read by nothing: every commit goes through the
+// group queue, bounded by DefaultMaxGroup. The type stays for
+// httpbench/server.go, which passes it to shard.Router.EnableGroupCommit.
 type GroupCommitOptions struct {
-	// MaxGroup bounds how many documents one leader commits (and journals
-	// as one WAL batch). 0 means DefaultMaxGroup.
 	MaxGroup int
-	// MaxWait is how long a fresh leader waits for its group to fill
-	// before draining. 0 drains immediately: the group is whatever queued
-	// while the previous group was being written (natural batching), which
-	// adds no latency and is the right default. A small positive value
-	// trades single-writer latency for larger groups.
-	MaxWait time.Duration
-}
-
-// EnableGroupCommit routes every subsequent commit — Add, AddBatch and
-// AddStream — through the group-commit coordinator. Enable it once, before
-// serving traffic; it cannot be turned off. Replayed documents commit
-// through it too, one at a time, and journal nothing.
-func (s *Source) EnableGroupCommit(opts GroupCommitOptions) {
-	if opts.MaxGroup <= 0 {
-		opts.MaxGroup = DefaultMaxGroup
-	}
-	s.committer.Store(&groupCommitter{s: s, maxGroup: opts.MaxGroup, maxWait: opts.MaxWait})
 }
 
 // groupCommitter coordinates leader/follower commits for one Source. Its
 // own mutex guards only the staging queue; committed state stays guarded
-// by Source.mu exactly as before.
+// by Source.mu.
 type groupCommitter struct {
-	s        *Source
-	maxGroup int
-	maxWait  time.Duration
+	s *Source
 
 	mu      sync.Mutex
 	queue   []*commitReq // dtdvet:guarded_by mu
 	leading bool         // dtdvet:guarded_by mu
+
+	// group and payloads are the leader's buffers: the drained requests
+	// and their journal records. Only the leader touches them, and it
+	// clears them before it hands leadership on, so they pin no committed
+	// request and cost no allocation once grown.
+	group    []*commitReq
+	payloads [][]byte
 }
 
 // submit enqueues reqs in FIFO order. If no leader is active the caller
 // becomes it and returns only after all of reqs are durable and applied;
 // otherwise submit returns immediately and the caller waits on each req.
-// dtdvet:nojournal -- commit-queue staging: every queued document is journaled by commitGroup before its state changes apply
+// dtdvet:nojournal -- commit-queue staging: every queued document is journaled by commitGroupLocked before its state changes apply
 func (gc *groupCommitter) submit(reqs []*commitReq) {
-	for _, r := range reqs {
-		r.done, r.promote = make(chan struct{}), make(chan struct{})
-	}
 	gc.mu.Lock()
 	gc.queue = append(gc.queue, reqs...)
 	gc.s.metrics.SetCommitQueueDepth(len(gc.queue))
@@ -103,6 +91,14 @@ func (gc *groupCommitter) submit(reqs []*commitReq) {
 // wait blocks until req is committed, taking over as leader if the
 // departing one hands this request the queue.
 func (gc *groupCommitter) wait(req *commitReq) {
+	// A request whose own caller led its group is done already, as is
+	// every replayed one: take that without the two-channel select, which
+	// costs several times more.
+	select {
+	case <-req.done:
+		return
+	default:
+	}
 	// The cases are mutually exclusive: a promoted request is still queued,
 	// stays queued until its own waiter leads (there is no other leader),
 	// and a committed request is never promoted.
@@ -131,38 +127,28 @@ func (gc *groupCommitter) wait(req *commitReq) {
 func (gc *groupCommitter) lead(last *commitReq) {
 	s := gc.s
 	for {
-		if gc.maxWait > 0 {
-			time.Sleep(gc.maxWait) // let the group fill
-		}
 		commit := time.Now() // dtdvet:allow replaydet -- wall clock feeds commit-latency metrics only; never journaled or replayed
 		s.mu.Lock()
 		gc.mu.Lock()
-		n := len(gc.queue)
-		if n > gc.maxGroup {
-			n = gc.maxGroup
-		}
-		group := make([]*commitReq, n)
-		copy(group, gc.queue)
-		gc.queue = append(gc.queue[:0], gc.queue[n:]...)
-		s.metrics.SetCommitQueueDepth(len(gc.queue))
-		owned := false
-		for _, r := range group {
-			if r == last {
-				owned = true
-			}
-		}
+		n := min(len(gc.queue), DefaultMaxGroup)
+		gc.group = append(gc.group, gc.queue[:n]...)
+		rest := copy(gc.queue, gc.queue[n:])
+		clear(gc.queue[rest:])
+		gc.queue = gc.queue[:rest]
+		s.metrics.SetCommitQueueDepth(rest)
 		gc.mu.Unlock()
+		owned := slices.Contains(gc.group, last)
 
-		flush := gc.commitGroupLocked(group)
+		flush := gc.commitGroupLocked()
 		s.mu.Unlock()
 		if flush != nil {
 			// The group's fsync, after the write lock is released: readers
 			// score the next group while the disk round-trip is in flight.
-			// Acknowledgement still waits for it — done closes only after
-			// Flush returns — so no document is acked before its record is
-			// durable. On failure the source degrades exactly as an in-lock
-			// sync failure would: the group stays applied in memory and the
-			// serving layer stops accepting mutations.
+			// Acknowledgement still waits for it — done is signalled only
+			// after Flush returns — so no document is acked before its
+			// record is durable. On failure the source degrades exactly as
+			// an in-lock sync failure would: the group stays applied in
+			// memory and the serving layer stops accepting mutations.
 			if err := flush.Flush(); err != nil {
 				s.mu.Lock()
 				if s.walErr == nil {
@@ -172,6 +158,15 @@ func (gc *groupCommitter) lead(last *commitReq) {
 				s.mu.Unlock()
 			}
 		}
+		s.metrics.ObserveCommitPhase(time.Since(commit)) // dtdvet:allow replaydet -- metrics only
+		// A waiter frees its request once done is signalled, so each slot
+		// is read before its signal and the buffer is cleared after the
+		// last one.
+		for _, r := range gc.group {
+			r.done <- struct{}{}
+		}
+		clear(gc.group)
+		gc.group = gc.group[:0]
 		if owned {
 			// Hand off after the fsync, not at drain time: a successor
 			// promoted any earlier would drain the moment the write lock
@@ -180,48 +175,49 @@ func (gc *groupCommitter) lead(last *commitReq) {
 			// flush, so group size tracks fsync latency — the disk's actual
 			// capacity — instead of the write lock's occupancy. The promoted
 			// request is still queued (this drain did not take it), so its
-			// group is never empty.
+			// group is never empty; it stays queued after the unlock, since
+			// only a leader drains.
 			gc.mu.Lock()
+			var next *commitReq
 			if len(gc.queue) > 0 {
-				close(gc.queue[0].promote)
+				next = gc.queue[0]
 			} else {
 				gc.leading = false
 			}
 			gc.mu.Unlock()
-		}
-		s.metrics.ObserveCommitPhase(time.Since(commit)) // dtdvet:allow replaydet -- metrics only
-		for _, r := range group {
-			close(r.done)
-		}
-		if owned {
+			if next != nil {
+				next.promote <- struct{}{}
+			}
 			return
 		}
 	}
 }
 
-// commitGroupLocked journals and applies one drained group inside the
+// commitGroupLocked journals and applies the drained group inside the
 // leader's write-lock section: each request runs the commit step in queue
 // order, with the journal sink set, so every record — the documents' and
 // those their applies journal (auto-evolutions, trigger firings), each
 // landing between the document that caused it and the next — is collected
-// for one batched WAL write that leaves the exact byte stream the serial
-// path would have. The group's fsync is deliberately NOT in here: when one
+// for one batched WAL write that leaves the exact byte stream sequential
+// appends would. The group's fsync is deliberately NOT in here: when one
 // is owed (SyncAlways), the attached log is returned and the leader
-// flushes it after releasing the write lock, before closing any done
+// flushes it after releasing the write lock, before signalling any done
 // channel.
 // dtdvet:requires Source.mu
-func (gc *groupCommitter) commitGroupLocked(group []*commitReq) (flush *wal.Log) {
+func (gc *groupCommitter) commitGroupLocked() (flush *wal.Log) {
 	s := gc.s
-	var payloads [][]byte
-	if s.journalingLocked() {
-		payloads = make([][]byte, 0, len(group))
-		s.journalSink = &payloads
-	}
-	for _, r := range group {
-		s.commitOneLocked(r)
+	s.journalSink = &gc.payloads
+	for _, r := range gc.group {
+		s.stepLocked(r)
 	}
 	s.journalSink = nil
-	flush = s.journalBatchLocked(payloads)
-	s.metrics.ObserveGroup(len(group))
+	flush = s.journalBatchLocked(gc.payloads)
+	clear(gc.payloads)
+	gc.payloads = gc.payloads[:0]
+	if !s.replaying {
+		// Replayed and follower-applied records reach the queue one at a
+		// time and write nothing to the WAL: no group to report.
+		s.metrics.ObserveGroup(len(gc.group))
+	}
 	return flush
 }

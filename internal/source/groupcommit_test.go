@@ -15,19 +15,11 @@ import (
 	"dtdevolve/internal/xmltree"
 )
 
-// maybeEnableGroupCommit turns group commit on when the environment asks
-// for it — CI runs the fault-injection suite with DTDEVOLVE_GROUP_COMMIT
-// both unset and set, so every durability test exercises both commit
-// pipelines.
-func maybeEnableGroupCommit(s *Source) {
-	if os.Getenv("DTDEVOLVE_GROUP_COMMIT") != "" {
-		s.EnableGroupCommit(GroupCommitOptions{})
-	}
-}
-
-// TestGroupCommitMatchesSerialAdds checks a group-committed source is
-// observably identical to the plain write-lock path over the same
-// document sequence, evolutions included.
+// TestGroupCommitMatchesSerialAdds checks a group of many requests is
+// observably identical to the same documents committed one per group,
+// evolutions included: one AddBatch, whose documents all score before the
+// group's first evolution and re-score when they commit after it, against
+// the same documents added one at a time.
 func TestGroupCommitMatchesSerialAdds(t *testing.T) {
 	shapes := []string{
 		`<article><title>t</title><body>b</body></article>`,
@@ -40,17 +32,19 @@ func TestGroupCommitMatchesSerialAdds(t *testing.T) {
 		srcs = append(srcs, shapes[i%len(shapes)])
 	}
 	serial, grouped := New(testConfig()), New(testConfig())
-	grouped.EnableGroupCommit(GroupCommitOptions{})
 	serial.AddDTD("article", articleDTD())
 	grouped.AddDTD("article", articleDTD())
 
+	batch := grouped.AddBatch(parseDocs(t, srcs))
 	for i, src := range srcs {
-		a := serial.Add(parseDoc(t, src))
-		b := grouped.Add(parseDoc(t, src))
+		a, b := serial.Add(parseDoc(t, src)), batch[i]
 		if a.Classified != b.Classified || a.DTDName != b.DTDName ||
 			a.Similarity != b.Similarity || a.Evolved != b.Evolved {
 			t.Errorf("doc %d: serial %+v, grouped %+v", i, a, b)
 		}
+	}
+	if m := grouped.Metrics(); m.Evolutions == 0 || m.WALGroups != 1 {
+		t.Fatalf("grouped run: %d evolutions in %d groups, want some in one group", m.Evolutions, m.WALGroups)
 	}
 	if got, want := snapshotOf(t, grouped), snapshotOf(t, serial); !reflect.DeepEqual(got, want) {
 		t.Errorf("group-committed state diverges:\n got: %v\nwant: %v", got, want)
@@ -67,7 +61,6 @@ func TestGroupCommitBatchSingleFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(testConfig())
-	s.EnableGroupCommit(GroupCommitOptions{})
 	s.AttachWAL(w)
 	s.AddDTD("article", articleDTD())
 
@@ -102,29 +95,42 @@ func TestGroupCommitBatchSingleFsync(t *testing.T) {
 	if info.Replayed != n+1 { // dtd + documents
 		t.Errorf("replayed %d records, want %d", info.Replayed, n+1)
 	}
+	if m := recovered.Metrics(); m.WALGroups != 0 {
+		t.Errorf("replay reported %d WAL groups, want none", m.WALGroups)
+	}
 	if got, want := snapshotOf(t, recovered), snapshotOf(t, s); !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered state diverges:\n got: %v\nwant: %v", got, want)
 	}
 }
 
-// TestGroupCommitMaxGroupSplitsBatches checks the leader honors MaxGroup:
-// an oversized batch commits as multiple bounded WAL groups.
+// TestGroupCommitMaxGroupSplitsBatches checks the leader honors
+// DefaultMaxGroup: an oversized batch commits as bounded WAL groups, one
+// fsync each under SyncAlways.
 func TestGroupCommitMaxGroupSplitsBatches(t *testing.T) {
+	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(testConfig())
-	s.EnableGroupCommit(GroupCommitOptions{MaxGroup: 4})
+	s.AttachWAL(w)
+	defer s.CloseWAL()
 	s.AddDTD("article", articleDTD())
-	srcs := make([]string, 10)
+	srcs := make([]string, 2*DefaultMaxGroup+2)
 	for i := range srcs {
 		srcs[i] = `<article><title>t</title><body>b</body></article>`
 	}
+	syncs0 := w.Stats().Syncs
 	res := s.AddBatch(parseDocs(t, srcs))
 	if len(res) != len(srcs) {
 		t.Fatalf("got %d results, want %d", len(res), len(srcs))
 	}
+	if got := w.Stats().Syncs - syncs0; got != 3 {
+		t.Errorf("a %d-document batch took %d fsyncs, want 3", len(srcs), got)
+	}
 	m := s.Metrics()
-	if m.WALGroups != 3 || m.WALGroupSizeMax != 4 || m.WALGroupSizeMin != 2 {
-		t.Errorf("groups = %d (min %d max %d), want 3 groups of 4+4+2",
-			m.WALGroups, m.WALGroupSizeMin, m.WALGroupSizeMax)
+	if m.WALGroups != 3 || m.WALGroupSizeMax != DefaultMaxGroup || m.WALGroupSizeMin != 2 {
+		t.Errorf("groups = %d (min %d max %d), want 3 groups of %d+%d+2",
+			m.WALGroups, m.WALGroupSizeMin, m.WALGroupSizeMax, DefaultMaxGroup, DefaultMaxGroup)
 	}
 }
 
@@ -150,11 +156,10 @@ func TestKillAtEveryOffsetGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := New(testConfig())
-	live.EnableGroupCommit(GroupCommitOptions{})
 	live.AttachWAL(w)
 	live.AddDTD("article", articleDTD())
-	// Two batches → two multi-record AppendBatch groups (and a segment
-	// rotation between them), journaled in batch order.
+	// Two batches → two multi-record WAL batches (and a segment rotation
+	// between them), journaled in batch order.
 	live.AddBatch(parseDocs(t, srcs[:8]))
 	live.AddBatch(parseDocs(t, srcs[8:]))
 	if err := live.CloseWAL(); err != nil {
@@ -180,7 +185,6 @@ func TestGroupCommitConcurrentAddSyncAlways(t *testing.T) {
 	cfg := testConfig()
 	cfg.Sigma = 0.6
 	s := New(cfg)
-	s.EnableGroupCommit(GroupCommitOptions{})
 	s.AttachWAL(w)
 	s.AddDTD("article", articleDTD())
 
@@ -330,7 +334,6 @@ func TestGroupCommitStreamsShareFsync(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.AutoEvolve = false
 	s := New(cfg)
-	s.EnableGroupCommit(GroupCommitOptions{})
 	s.AttachWAL(w)
 	defer s.CloseWAL()
 	s.AddDTD("feed", feedDTD(t))
@@ -380,5 +383,148 @@ func TestGroupCommitStreamsShareFsync(t *testing.T) {
 	}
 	if m.StreamDocs != n+1 {
 		t.Errorf("stream_docs = %d, want %d", m.StreamDocs, n+1)
+	}
+}
+
+// TestGroupCommitPanicReachesItsCaller: a commit step that panics raises
+// the panic on the goroutine whose request it was, after the group it
+// shared with another caller's request was journaled, flushed and
+// acknowledged; the lock, the leadership and the queue are free again.
+// Two callers queue behind a held fsync; the first leads their group, and
+// the second's document lands in a DTD whose recorder was taken away.
+func TestGroupCommitPanicReachesItsCaller(t *testing.T) {
+	dir := t.TempDir()
+	fs := &holdFS{entered: make(chan struct{}), release: make(chan struct{})}
+	w, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.AutoEvolve = false
+	s := New(cfg)
+	// No deferred CloseWAL: should the lock stay held, it would block the
+	// test from reporting.
+	s.AttachWAL(w)
+	s.AddDTD("article", articleDTD())
+	s.AddDTD("list", listDTD("(item+)"))
+	s.mu.Lock()
+	s.entries["list"].rec = nil
+	s.mu.Unlock()
+	const article = `<article><title>t</title><body>b</body></article>`
+
+	// add runs one Add, reporting its result or the panic it raised.
+	type outcome struct {
+		res      AddResult
+		panicked any
+	}
+	add := func(doc *xmltree.Document) <-chan outcome {
+		out := make(chan outcome, 1)
+		go func() {
+			var o outcome
+			defer func() {
+				o.panicked = recover()
+				out <- o
+			}()
+			o.res = s.Add(doc)
+		}()
+		return out
+	}
+	recv := func(c <-chan outcome, who string) outcome {
+		select {
+		case o := <-c:
+			return o
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never returned", who)
+			return outcome{}
+		}
+	}
+	queued := func(n int64) {
+		for deadline := time.Now().Add(5 * time.Second); s.metrics.Snapshot().CommitQueueDepth < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				close(fs.release)
+				t.Fatalf("%d of %d documents queued", s.metrics.Snapshot().CommitQueueDepth, n)
+			}
+		}
+	}
+
+	syncs := w.Stats().Syncs
+	fs.armed.Store(true)
+	first := add(parseDoc(t, article))
+	select {
+	case <-fs.entered:
+	case <-time.After(10 * time.Second):
+		close(fs.release)
+		t.Fatal("the first document never reached its fsync")
+	}
+	leader := add(parseDoc(t, article))
+	queued(1)
+	victim := add(parseDoc(t, `<list><item>i</item></list>`))
+	queued(2)
+	close(fs.release)
+
+	if o := recv(first, "the first caller"); o.panicked != nil {
+		t.Errorf("the first caller panicked: %v", o.panicked)
+	}
+	if o := recv(leader, "the group's leader"); o.panicked != nil || o.res.DTDName != "article" {
+		t.Errorf("the group's leader: %+v, panic %v; want classified in article, no panic", o.res, o.panicked)
+	}
+	if o := recv(victim, "the panicking caller"); o.panicked == nil {
+		t.Errorf("the panicking request returned %+v without its panic", o.res)
+	}
+	if got := w.Stats().Syncs - syncs; got != 2 {
+		t.Errorf("two groups took %d fsyncs, want 2", got)
+	}
+	if m := s.Metrics(); m.WALGroups != 2 || m.WALGroupSizeMax != 2 {
+		t.Errorf("groups = %d (max %d), want the two callers in one group after the first", m.WALGroups, m.WALGroupSizeMax)
+	}
+	names := make(chan []string, 1)
+	go func() { names <- s.Names() }()
+	select {
+	case <-names:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Names is still blocked after the panic")
+	}
+	if o := recv(add(parseDoc(t, article)), "an Add after the panic"); o.panicked != nil || !o.res.Classified {
+		t.Errorf("an Add after the panic: %+v, panic %v", o.res, o.panicked)
+	}
+	if err := s.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got := journalOpCounts(t, dir)["doc"]; got != 4 {
+		t.Errorf("journal holds %d documents, want 4", got)
+	}
+}
+
+// TestGroupCommitAllocs is the queue's allocation budget: a request
+// classified and encoded off the lock commits through the queue and the
+// WAL without allocating, once the queue and the leader's buffers have
+// grown.
+func TestGroupCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	w, err := wal.Open(t.TempDir(), wal.Options{Sync: wal.SyncOff, SegmentSize: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.AutoEvolve = false
+	s := New(cfg)
+	s.AttachWAL(w)
+	defer s.CloseWAL()
+	s.AddDTD("article", articleDTD())
+	doc := parseDoc(t, `<article><title>t</title><body>b</body></article>`)
+	s.mu.RLock()
+	r := newReq(doc, s.classifier.Classify(doc), s.gen)
+	s.mu.RUnlock()
+	defer freeReq(r)
+	r.encode()
+	s.commit(r) // warm: interns the names, grows the queue and the buffers
+	if !r.res.Classified {
+		t.Fatalf("the document did not classify: %+v", r.res)
+	}
+	allocs := testing.AllocsPerRun(100, func() { s.commit(r) })
+	if allocs != 0 {
+		t.Errorf("a queued commit allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -129,58 +129,52 @@ func TestEvolutionRepeatsSerially(t *testing.T) {
 // TestConcurrentAddsRecoverSameSnapshot pins symbol IDs to journal order:
 // after concurrent Adds of documents with undeclared tags, the live
 // snapshot must be byte-identical to the one Recover rebuilds from the
-// journal, on the serial commit path and under group commit. Interning
-// before the write lock would let concurrent Adds interleave their new IDs,
-// while replay assigns them in journal order.
+// journal. Interning before the write lock would let concurrent Adds
+// interleave their new IDs, while replay assigns them in journal order.
 func TestConcurrentAddsRecoverSameSnapshot(t *testing.T) {
-	const writers, perWriter, trials = 4, 30, 20
+	const writers, perWriter, trials = 4, 30, 40
 	docs := make([][]*xmltree.Document, writers)
 	for g := range docs {
 		for i := 0; i < perWriter; i++ {
 			docs[g] = append(docs[g], pairedTagsDoc(t, g, i))
 		}
 	}
-	for _, group := range []bool{false, true} {
-		for trial := 0; trial < trials; trial++ {
-			dir := t.TempDir()
-			w, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff})
-			if err != nil {
-				t.Fatal(err)
-			}
-			live := New(testConfig())
-			if group {
-				live.EnableGroupCommit(GroupCommitOptions{})
-			}
-			live.AttachWAL(w)
-			live.AddDTD("article", articleDTD())
-			var wg sync.WaitGroup
-			for g := 0; g < writers; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for _, d := range docs[g] {
-						// A fresh tree per Add: a committed document is
-						// the source's from then on.
-						live.Add(&xmltree.Document{Root: d.Root.Clone()})
-					}
-				}()
-			}
-			wg.Wait()
-			want, err := live.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := live.CloseWAL(); err != nil {
-				t.Fatal(err)
-			}
-			recovered := recoverFrom(t, dir)
-			got, err := recovered.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("group commit %v, trial %d: recovered snapshot differs from the live one\nlive:      %s\nrecovered: %s", group, trial, want, got)
-			}
+	for trial := 0; trial < trials; trial++ {
+		dir := t.TempDir()
+		w, err := wal.Open(dir, wal.Options{Sync: wal.SyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := New(testConfig())
+		live.AttachWAL(w)
+		live.AddDTD("article", articleDTD())
+		var wg sync.WaitGroup
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, d := range docs[g] {
+					// A fresh tree per Add: a committed document is
+					// the source's from then on.
+					live.Add(&xmltree.Document{Root: d.Root.Clone()})
+				}
+			}()
+		}
+		wg.Wait()
+		want, err := live.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := live.CloseWAL(); err != nil {
+			t.Fatal(err)
+		}
+		recovered := recoverFrom(t, dir)
+		got, err := recovered.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: recovered snapshot differs from the live one\nlive:      %s\nrecovered: %s", trial, want, got)
 		}
 	}
 }

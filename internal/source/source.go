@@ -165,10 +165,10 @@ type Source struct {
 	// checkpoint.
 	retain func() uint64 // dtdvet:guarded_by mu
 	gcLogf func(error)   // dtdvet:guarded_by mu
-	// committer, when set, routes commits through the group-commit
-	// coordinator (groupcommit.go). Unguarded: an atomic pointer, like
-	// metrics, set once by EnableGroupCommit before traffic.
-	committer atomic.Pointer[groupCommitter]
+	// gc is the group-commit queue every commit goes through
+	// (groupcommit.go). Unguarded: set once by New, and it synchronizes
+	// internally.
+	gc *groupCommitter
 	// streamers pools the one-pass ingest consumers (stream.go). Unguarded:
 	// sync.Pool synchronizes internally.
 	streamers sync.Pool
@@ -178,13 +178,15 @@ type Source struct {
 func New(cfg Config) *Source {
 	tab := intern.NewTable()
 	classifier := classify.NewWithTable(cfg.Sigma, cfg.Similarity, tab)
-	return &Source{
+	s := &Source{
 		cfg:        cfg,
 		entries:    make(map[string]*entry),
 		classifier: classifier,
 		tab:        tab,
 		metrics:    new(metrics.Ingest),
 	}
+	s.gc = &groupCommitter{s: s}
+	return s
 }
 
 // AddDTD registers a DTD under the given name (initialization phase). It
@@ -283,9 +285,9 @@ func (s *Source) Add(doc *xmltree.Document) AddResult {
 
 // AddBatch ingests many documents at once: every document is scored
 // concurrently under one read-lock section, then all results are committed
-// (record/check/evolve/triggers, exactly as repeated Adds would) in a
-// single write-lock section. The returned slice has one AddResult per
-// document, in input order.
+// (record/check/evolve/triggers, exactly as repeated Adds would) through
+// the group-commit queue, in groups of up to DefaultMaxGroup. The returned
+// slice has one AddResult per document, in input order.
 //
 // If a document's classification triggers an evolution mid-batch, later
 // documents of the batch are re-scored against the updated DTD set before
@@ -349,10 +351,10 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 	}
 
 	// The batch commits in input order, so it stays equivalent to a serial
-	// Add sequence; with group commit it interleaves with concurrent
-	// writers at group granularity. Every request carries the batch's
-	// generation, so once an evolution mid-batch moves it, every later
-	// document re-scores against the updated set.
+	// Add sequence; it interleaves with concurrent writers at group
+	// granularity. Every request carries the batch's generation, so once
+	// an evolution mid-batch moves it, every later document re-scores
+	// against the updated set.
 	reqs := make([]*commitReq, len(docs))
 	for i, doc := range docs {
 		reqs[i] = newReq(doc, cls[i], gen)

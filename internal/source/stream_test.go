@@ -390,7 +390,6 @@ func TestAddStreamFailedParseInternsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AttachWAL(w)
-	maybeEnableGroupCommit(s)
 	s.AddDTD("feed", feedDTD(t))
 	before := s.Metrics().InternedSymbols
 	if _, err := s.AddStream(strings.NewReader(`<zebra><quux/>`)); err == nil {
@@ -473,7 +472,6 @@ func TestAddStreamCommitOrderInterning(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.AttachWAL(w)
-	maybeEnableGroupCommit(s)
 	s.AddDTD("article", articleDTD())
 	res, err := interleaveStreams(t, s)
 	if err != nil {
@@ -508,7 +506,6 @@ func TestAddStreamBoundedNewNames(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Sigma = 0.3
 	s := New(cfg)
-	maybeEnableGroupCommit(s)
 	s.AddDTD("article", articleDTD())
 	res, err := interleaveStreams(t, s)
 	if err != nil {
@@ -545,7 +542,6 @@ func TestAddStreamRescoredDegradedJournalsDoc(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxChildren = 2
 	s := New(cfg)
-	s.EnableGroupCommit(GroupCommitOptions{})
 	s.AttachWAL(w)
 	s.AddDTD("article", articleDTD())
 	reportDTD, err := dtd.ParseString(`<!ELEMENT report (x, y, z)><!ELEMENT x EMPTY><!ELEMENT y EMPTY><!ELEMENT z EMPTY>`)
@@ -615,8 +611,7 @@ func TestAddStreamRescoredDegradedJournalsDoc(t *testing.T) {
 // documents: a live source ingests through AddStream — classified
 // documents, one sent to the repository, and one degraded under
 // MaxChildren (an "sdoc" record) — and every cut of its journal recovers
-// to the state the journaled prefix leads to. Under
-// DTDEVOLVE_GROUP_COMMIT the streams commit through the group queue.
+// to the state the journaled prefix leads to.
 func TestKillAtEveryOffsetStream(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxChildren = 4
@@ -627,7 +622,6 @@ func TestKillAtEveryOffsetStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := New(cfg)
-	maybeEnableGroupCommit(live)
 	live.AttachWAL(w)
 	live.AddDTD("article", articleDTD())
 	docs := []string{

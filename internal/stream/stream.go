@@ -144,7 +144,7 @@ func (g *Ingestor) Run(r io.Reader, entries []classify.StreamEntry, canon io.Wri
 			}
 			for _, se := range g.evals {
 				if se != nil {
-					se.Start(ev.ID, ev.Name)
+					se.Start(ev.ID)
 				}
 			}
 			g.sr.Start(ev.ID, ev.Name)

@@ -292,14 +292,17 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
-// AppendBatch journals a group of records as one disk operation: a single
-// mutex acquisition, every frame encoded into one reused buffer, one Write
-// of the concatenated frames, and — under SyncAlways — one fsync for the
-// whole group. This is the primitive behind the source's group commit
-// (DESIGN.md §10): the per-record durability cost collapses from one disk
-// round-trip per commit to one per group, without weakening the contract —
-// AppendBatch returns only after the group is as durable as the policy
-// promises for a single Append.
+// AppendBatchNoSync journals a group of records as one disk operation: a
+// single mutex acquisition, every frame encoded into one reused buffer,
+// and one Write of the concatenated frames. It never fsyncs inline,
+// whatever the policy: the records are durable only after a later Flush
+// (or the interval flusher, a segment seal, or Close). This is the
+// primitive behind the source's group commit (DESIGN.md §10), which
+// writes the batch while holding the source's state lock but moves the
+// disk round-trip after the release — AppendBatchNoSync under the lock,
+// Flush outside it, acknowledge after Flush returns — so the per-record
+// durability cost collapses from one disk round-trip per commit to one
+// per group.
 //
 // The frames are byte-identical to len(payloads) sequential Appends, so
 // recovery needs no group framing: a crash mid-batch tears the stream
@@ -308,26 +311,9 @@ func (l *Log) Append(payload []byte) error {
 //
 // All payloads are validated before anything is written; a size rejection
 // fails the whole batch with no partial append and no sticky failure. An
-// I/O failure is sticky exactly as for Append. Like Append, AppendBatch is
-// zero-allocation in steady state (the frame buffer is reused and grows to
-// the largest group seen).
-// dtdvet:noalloc
-func (l *Log) AppendBatch(payloads [][]byte) error {
-	if len(payloads) == 0 {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendBatchLocked(payloads, true)
-}
-
-// AppendBatchNoSync journals a group of records exactly like AppendBatch
-// but never fsyncs inline, whatever the policy: the records are durable
-// only after a later Flush (or the interval flusher, a segment seal, or
-// Close). It exists for the group-commit leader, which writes the batch
-// while holding the source's state lock but moves the disk round-trip
-// after the release — AppendBatchNoSync under the lock, Flush outside it,
-// acknowledge after Flush returns (DESIGN.md §10).
+// I/O failure is sticky exactly as for Append. Like Append,
+// AppendBatchNoSync is zero-allocation in steady state (the frame buffer
+// is reused and grows to the largest group seen).
 // dtdvet:noalloc
 func (l *Log) AppendBatchNoSync(payloads [][]byte) error {
 	if len(payloads) == 0 {
@@ -335,14 +321,6 @@ func (l *Log) AppendBatchNoSync(payloads [][]byte) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendBatchLocked(payloads, false)
-}
-
-// appendBatchLocked frames and writes one batch; syncNow selects whether a
-// SyncAlways policy fsyncs before returning or leaves the bytes for Flush.
-// dtdvet:requires mu
-// dtdvet:noalloc
-func (l *Log) appendBatchLocked(payloads [][]byte, syncNow bool) error {
 	if l.err != nil {
 		return l.err
 	}
@@ -369,15 +347,6 @@ func (l *Log) appendBatchLocked(payloads [][]byte, syncNow bool) error {
 	l.activeSize += batchLen
 	l.appends.Add(int64(len(payloads)))
 	l.bytes.Add(batchLen)
-	switch {
-	case l.opts.Sync == SyncAlways && syncNow:
-		if err := l.active.Sync(); err != nil {
-			l.fail(fmt.Errorf("wal: syncing segment %d: %w", l.activeSeq, err)) // dtdvet:allow noalloc -- cold error path, log is dead after
-			return l.err
-		}
-		l.syncs.Add(1)
-		l.flushed = l.bytes.Load()
-	}
 	return nil
 }
 

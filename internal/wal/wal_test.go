@@ -234,14 +234,15 @@ func TestStats(t *testing.T) {
 	}
 }
 
-// batchAll journals the payloads as a single AppendBatch and closes the log.
+// batchAll journals the payloads as a single AppendBatchNoSync and closes
+// the log.
 func batchAll(t *testing.T, dir string, opts Options, payloads [][]byte) {
 	t.Helper()
 	l, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendBatch(payloads); err != nil {
+	if err := l.AppendBatchNoSync(payloads); err != nil {
 		t.Fatalf("append batch: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -302,7 +303,7 @@ func TestAppendBatchRotatesBetweenBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := l.AppendBatch(payloads(3)); err != nil {
+		if err := l.AppendBatchNoSync(payloads(3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -324,16 +325,16 @@ func TestAppendBatchRejectsBadPayloadAtomically(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.AppendBatch([][]byte{[]byte("ok-1"), nil, []byte("ok-2")}); err == nil {
+	if err := l.AppendBatchNoSync([][]byte{[]byte("ok-1"), nil, []byte("ok-2")}); err == nil {
 		t.Error("batch containing an empty payload accepted")
 	}
 	if err := l.Err(); err != nil {
 		t.Errorf("size rejection must not poison the log: %v", err)
 	}
-	if err := l.AppendBatch(nil); err != nil {
+	if err := l.AppendBatchNoSync(nil); err != nil {
 		t.Errorf("empty batch must be a no-op, got %v", err)
 	}
-	if err := l.AppendBatch([][]byte{[]byte("after")}); err != nil {
+	if err := l.AppendBatchNoSync([][]byte{[]byte("after")}); err != nil {
 		t.Fatal(err)
 	}
 	// The rejected batch must leave no partial frames behind.
@@ -343,30 +344,11 @@ func TestAppendBatchRejectsBadPayloadAtomically(t *testing.T) {
 	}
 }
 
-func TestAppendBatchStats(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	syncs0 := l.Stats().Syncs
-	if err := l.AppendBatch(payloads(6)); err != nil {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.Appends != 6 {
-		t.Errorf("appends = %d, want 6 (one per record)", st.Appends)
-	}
-	if got := st.Syncs - syncs0; got != 1 {
-		t.Errorf("syncs = %d for one batch, want exactly 1", got)
-	}
-}
-
-// TestAppendBatchNoSyncFlush pins the split-commit contract the group
-// committer relies on: AppendBatchNoSync leaves the records unsynced even
-// under SyncAlways, one Flush makes them durable with exactly one fsync,
-// a redundant Flush does not touch the disk, and the replayed stream is
-// identical to a plain AppendBatch.
+// TestAppendBatchNoSyncFlush pins the split-commit contract the
+// group-commit leader relies on: AppendBatchNoSync counts one append per record but
+// leaves the records unsynced even under SyncAlways, one Flush makes them
+// durable with exactly one fsync, a redundant Flush does not touch the
+// disk, and the batch replays record for record.
 func TestAppendBatchNoSyncFlush(t *testing.T) {
 	dir := t.TempDir()
 	want := payloads(6)
@@ -376,6 +358,9 @@ func TestAppendBatchNoSyncFlush(t *testing.T) {
 	}
 	if err := l.AppendBatchNoSync(want); err != nil {
 		t.Fatal(err)
+	}
+	if got := l.Stats().Appends; got != int64(len(want)) {
+		t.Errorf("appends = %d, want %d (one per record)", got, len(want))
 	}
 	if got := l.Stats().Syncs; got != 0 {
 		t.Errorf("syncs = %d after AppendBatchNoSync, want 0 (the fsync is the caller's Flush)", got)

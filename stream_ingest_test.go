@@ -206,14 +206,13 @@ func BenchmarkStreamIngestLog(b *testing.B) {
 }
 
 // BenchmarkStreamIngestLogWAL is BenchmarkStreamIngestLog made durable: a
-// SyncInterval WAL and group commit, durable-stream's commit path minus the
-// fsync. The spool, the journal record and the group queue are what it
+// SyncInterval WAL and the group-commit queue, durable-stream's commit path
+// minus the fsync. The spool, the journal record and the group queue are what it
 // adds per document.
 func BenchmarkStreamIngestLogWAL(b *testing.B) {
 	d := dtd.MustParse(eventLogDTDSrc)
 	d.Name = "log"
 	src := source.New(source.DefaultConfig())
-	src.EnableGroupCommit(source.GroupCommitOptions{})
 	l, err := dtdevolve.OpenWAL(b.TempDir(), dtdevolve.WALOptions{Sync: dtdevolve.SyncInterval})
 	if err != nil {
 		b.Fatal(err)
