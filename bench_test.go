@@ -430,8 +430,8 @@ func benchIngestSource() *source.Source {
 // multi-DTD source; compare with BenchmarkSourceIngestParallel, which
 // drives the same source from GOMAXPROCS goroutines. On ≥ 4 cores the
 // parallel path sustains well over 2× the serial throughput, because
-// classification (the alignment-dominated phase) runs under a read lock
-// and fans out per DTD, while only the cheap commit serializes.
+// classification (the alignment-dominated phase) runs under a read lock,
+// while only the cheap commit serializes.
 func BenchmarkSourceIngestSerial(b *testing.B) {
 	docs := benchCorpus(200, 0.3)
 	s := benchIngestSource()

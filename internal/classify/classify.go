@@ -20,8 +20,6 @@
 package classify
 
 import (
-	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -87,9 +85,9 @@ func (s Stats) PruneRatio() float64 {
 
 // Classifier matches documents against a set of named DTDs by structural
 // similarity through the candidate-pruning index. It is safe for
-// concurrent use: classification runs under a read lock, scores candidates
-// on a bounded worker pool with evaluators drawn from per-DTD
-// similarity.Pools, and index updates take the write lock.
+// concurrent use: classification runs under a read lock and scores its
+// candidates on the calling goroutine, with evaluators drawn from per-DTD
+// similarity.Pools; index updates take the write lock.
 type Classifier struct {
 	sigma    float64
 	cfg      similarity.Config
@@ -99,11 +97,6 @@ type Classifier struct {
 	// matching, sane weights). When false every classification scores
 	// exhaustively, as the pre-index classifier did.
 	prunable bool
-	// slots admits helper goroutines for candidate scoring. The budget is
-	// per-classifier and shared by every concurrent classification, so a
-	// GOMAXPROCS-wide ingest batch cannot fan out more than cap(slots)
-	// helpers in total — the caller always scores on its own goroutine.
-	slots chan struct{}
 	// workspaces pools the *workspace storage of classifications.
 	workspaces sync.Pool
 
@@ -143,7 +136,6 @@ func NewWithTable(sigma float64, cfg similarity.Config, tab *intern.Table) *Clas
 		prunable: cfg.TagSimilarity == nil && cfg.CommonWeight > 0 &&
 			cfg.PlusWeight >= 0 && cfg.MinusWeight >= 0 &&
 			cfg.Decay > 0 && cfg.Decay <= 1,
-		slots:    make(chan struct{}, runtime.GOMAXPROCS(0)),
 		slotOf:   make(map[string]int32),
 		postings: make(map[int32][]int32),
 	}
@@ -307,8 +299,7 @@ func (c *Classifier) ClassifyExhaustiveElement(root *xmltree.Node) Result {
 
 // workspace is the working storage of one classification, pooled so that a
 // classification allocates nothing per candidate: the document signature's
-// buffers, the slot-indexed overlap accumulator, the plan, and the state
-// the scoring workers share.
+// buffers, the slot-indexed overlap accumulator and the plan.
 type workspace struct {
 	sig sigBuf
 	// acc[slot] is the document weight on labels the slot's DTD knows.
@@ -318,18 +309,12 @@ type workspace struct {
 	hit     []bool
 	touched []int32
 	plan    []planEntry
-
-	cursor atomic.Int64  // the last plan index claimed
-	best   atomic.Uint64 // Float64bits of the best confirmed similarity
-	wg     sync.WaitGroup
 }
 
-// planEntry is one planned candidate. Entries are claimed by exactly one
-// scoring worker (via the atomic cursor), which is the only writer of the
-// mutable fields until the pool is joined.
+// planEntry is one planned candidate.
 type planEntry struct {
-	slot            int32
-	refined, scored bool
+	slot   int32
+	scored bool
 	// ub is the similarity upper bound that admitted the candidate (1 on
 	// the exhaustive path), and acc the overlap weight it came from.
 	ub, acc float64
@@ -350,7 +335,7 @@ func (c *Classifier) classifyLocked(root *xmltree.Node, exhaustive bool) Result 
 		c.candidatePlanLocked(ws, sig)
 		c.candidates.Add(int64(len(ws.plan)))
 	}
-	c.scorePlan(ws, c.sigs, root, sig)
+	c.scorePlanLocked(ws.plan, root, sig)
 	return c.foldLocked(ws.plan, exhaustive)
 }
 
@@ -436,87 +421,40 @@ func byScore(a, b Candidate) int {
 // aligner's summation orders; a skip must clear it.
 const boundEps = 1e-9
 
-// scorePlan runs the DP alignment for every planned entry not provably
-// beaten; with a nil s it scores them all. The caller always scores on its
-// own goroutine; helpers join only as the classifier-wide slots budget
-// admits, claiming entries in plan order through an atomic cursor.
-func (c *Classifier) scorePlan(ws *workspace, sigs []*dtdSig, root *xmltree.Node, s *docSig) {
-	if len(ws.plan) == 0 {
-		return
-	}
-	ws.cursor.Store(-1)
-	ws.best.Store(0)
-	for helpers := 0; helpers < len(ws.plan)-1; helpers++ {
-		select {
-		case c.slots <- struct{}{}:
-			ws.wg.Add(1)
-			go func() {
-				defer ws.wg.Done()
-				defer func() { <-c.slots }()
-				c.work(ws, sigs, root, s)
-			}()
-			continue
-		default:
+// scorePlanLocked runs the DP alignment, in plan order, for every planned
+// entry not provably beaten; with a nil s it scores them all.
+// dtdvet:requires mu:r
+func (c *Classifier) scorePlanLocked(plan []planEntry, root *xmltree.Node, s *docSig) {
+	best := 0.0 // the best confirmed similarity
+	for i := range plan {
+		e := &plan[i]
+		g := c.sigs[e.slot]
+		if e.scored || s != nil && c.skipEntry(e, g, s, best) {
+			continue // pre-gated to 0, or provably beaten
 		}
-		break
-	}
-	c.work(ws, sigs, root, s)
-	ws.wg.Wait()
-}
-
-// work claims and scores plan entries until the plan is exhausted.
-func (c *Classifier) work(ws *workspace, sigs []*dtdSig, root *xmltree.Node, s *docSig) {
-	for {
-		i := int(ws.cursor.Add(1))
-		if i >= len(ws.plan) {
-			return
-		}
-		e := &ws.plan[i]
-		if e.scored {
-			continue // pre-gated to 0
-		}
-		if s != nil && c.skipEntry(e, sigs, s, &ws.best) {
-			continue
-		}
-		e.sim = sigs[e.slot].pool.GlobalSim(root)
-		e.scored = true
+		e.sim, e.scored = g.pool.GlobalSim(root), true
 		c.scored.Add(1)
-		for {
-			cur := ws.best.Load()
-			if e.sim <= math.Float64frombits(cur) {
-				break
-			}
-			if ws.best.CompareAndSwap(cur, math.Float64bits(e.sim)) {
-				break
-			}
-		}
+		best = max(best, e.sim)
 	}
 }
 
-// skipEntry reports whether e can be skipped without changing the result:
-// its upper bound is strictly below both the best confirmed similarity
-// (the winner cannot change — the best only rises) and σ (the classified
-// bit cannot change). Before giving up on a skip, the flat bound is
-// refined once with the pair and depth profiles of the document's
-// signature s.
-func (c *Classifier) skipEntry(e *planEntry, sigs []*dtdSig, s *docSig, best *atomic.Uint64) bool {
-	for {
-		limit := math.Float64frombits(best.Load())
-		if c.sigma < limit {
-			limit = c.sigma
-		}
-		if e.ub < limit-boundEps {
-			c.pruned.Add(1)
-			return true
-		}
-		if e.refined {
-			return false
-		}
-		e.refined = true
-		if ub := sigs[e.slot].ubRefined(s, e.acc); ub < e.ub {
-			e.ub = ub
-		}
+// skipEntry reports whether e, planned for g, can be skipped without
+// changing the result: its upper bound is strictly below both the best
+// confirmed similarity (the winner cannot change — the best only rises)
+// and σ (the classified bit cannot change). Before giving up on a skip,
+// the flat bound is refined with the pair and depth profiles of the
+// document's signature s.
+func (c *Classifier) skipEntry(e *planEntry, g *dtdSig, s *docSig, best float64) bool {
+	limit := best
+	if c.sigma < limit {
+		limit = c.sigma
 	}
+	limit -= boundEps
+	if e.ub < limit || g.ubRefined(s, e.acc) < limit {
+		c.pruned.Add(1)
+		return true
+	}
+	return false
 }
 
 // foldLocked folds the scored entries into a Result. Sorted best first,

@@ -344,6 +344,43 @@ func TestExtractSigAllocs(t *testing.T) {
 	}
 }
 
+// TestClassifyAllocsIndependentOfProcs pins that a pruned classification
+// allocates the same at every GOMAXPROCS: it scores its plan on the
+// caller's goroutine, so nothing is allocated per core. Each classifier is
+// built after GOMAXPROCS is set, so anything it sized by the core count
+// would show. Scoring helper goroutines, one closure each, read 2, 3 and
+// 5 allocs/op here at GOMAXPROCS 1, 2 and 4.
+func TestClassifyAllocsIndependentOfProcs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	g := gen.New(gen.DefaultConfig(9))
+	dtds := make([]*dtd.DTD, 12)
+	for i := range dtds {
+		dtds[i] = g.RandomDTD("hub", 6)
+	}
+	doc := g.MutatedDocuments(dtds[0], 1, 2, 0.6)[0]
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	allocs := make(map[int]float64)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		c := New(0.7, similarity.DefaultConfig())
+		for i, d := range dtds {
+			c.Set(fmt.Sprintf("hub%02d", i), d)
+		}
+		c.Classify(doc) // grow the pooled workspace
+		if plan := c.Stats().Candidates; plan < 5 {
+			t.Fatalf("the plan holds %d entries, want at least 5", plan)
+		}
+		allocs[procs] = testing.AllocsPerRun(100, func() { c.Classify(doc) })
+	}
+	t.Logf("allocs/op at GOMAXPROCS 1, 2, 4: %v, %v, %v", allocs[1], allocs[2], allocs[4])
+	if allocs[2] != allocs[1] || allocs[4] != allocs[1] {
+		t.Errorf("Classify allocates %v, %v and %v objects at GOMAXPROCS 1, 2 and 4, want the same at each",
+			allocs[1], allocs[2], allocs[4])
+	}
+}
+
 // sizedDTD is a small document DTD for the registration byte gate.
 const sizedDTD = `
 <!ELEMENT doc (head, sec+, back?)>

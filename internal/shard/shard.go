@@ -251,7 +251,8 @@ func (r *Router) AddDocumentStream(_ context.Context, key string, rd io.Reader) 
 // sub-batches out concurrently, one AddBatch per shard, returning results
 // in input order. keys may be nil (all content-hashed) or must match docs
 // in length. If any targeted shard is degraded the whole batch is refused
-// — a batch is one durability promise, not len(docs) independent ones.
+// — a batch is one durability promise, not len(docs) independent ones. A
+// shard's panic surfaces here once every shard's sub-batch has returned.
 func (r *Router) AddBatchKeyed(ctx context.Context, keys []string, docs []*xmltree.Document) ([]source.AddResult, error) {
 	if len(keys) != 0 && len(keys) != len(docs) {
 		return nil, fmt.Errorf("shard: %d keys for %d documents", len(keys), len(docs))
@@ -275,6 +276,7 @@ func (r *Router) AddBatchKeyed(ctx context.Context, keys []string, docs []*xmltr
 	}
 	results := make([]source.AddResult, len(docs))
 	errs := make([]error, len(r.shards))
+	panics := make([]any, len(r.shards))
 	var wg sync.WaitGroup
 	for si, idx := range byShard {
 		if len(idx) == 0 {
@@ -283,6 +285,7 @@ func (r *Router) AddBatchKeyed(ctx context.Context, keys []string, docs []*xmltr
 		wg.Add(1)
 		go func(si int, idx []int) {
 			defer wg.Done()
+			defer func() { panics[si] = recover() }()
 			sub := make([]*xmltree.Document, len(idx))
 			for j, i := range idx {
 				sub[j] = docs[i]
@@ -298,6 +301,11 @@ func (r *Router) AddBatchKeyed(ctx context.Context, keys []string, docs []*xmltr
 		}(si, idx)
 	}
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

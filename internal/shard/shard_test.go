@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,6 +193,66 @@ func TestAddBatchKeyedOrderAndValidation(t *testing.T) {
 	}
 	if _, err := r.AddBatchKeyed(context.Background(), keys[:2], docs); err == nil {
 		t.Error("mismatched key count accepted")
+	}
+}
+
+// TestAddBatchKeyedPanicReachesCaller: a panic raised in a shard's
+// sub-batch — here by the caller's TagSimilarity, while scoring — reaches
+// the caller of AddBatchKeyed instead of killing the process, and every
+// shard goes on serving: an AddDTD and a clean document on each shard
+// finish afterwards.
+func TestAddBatchKeyedPanicReachesCaller(t *testing.T) {
+	const armedPanic = "tag similarity armed"
+	var armed atomic.Bool
+	cfg := testConfig()
+	cfg.Similarity.TagSimilarity = func(string, string) float64 {
+		if armed.Load() {
+			panic(armedPanic)
+		}
+		return 0
+	}
+	r := New(cfg, Options{Shards: 2})
+	if err := r.AddDTD("article", articleDTD()); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{keyOn(t, r, 0), keyOn(t, r, 1)}
+	deviant := parseDoc(t, `<article><title>t</title><extra/><body>b</body></article>`)
+	clean := parseDoc(t, `<article><title>t</title><body>b</body></article>`)
+	armed.Store(true)
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		r.AddBatchKeyed(context.Background(), keys, []*xmltree.Document{deviant, deviant})
+		return nil
+	}()
+	armed.Store(false)
+	if p != armedPanic {
+		t.Fatalf("AddBatchKeyed panicked with %v, want %q", p, armedPanic)
+	}
+	done := make(chan error, 1)
+	go func() {
+		if err := r.AddDTD("list", dtd.MustParse(`<!ELEMENT list (item+)><!ELEMENT item (#PCDATA)>`)); err != nil {
+			done <- err
+			return
+		}
+		for si, key := range keys {
+			res, err := r.AddDocument(context.Background(), key, clean)
+			if err == nil && !res.Classified {
+				err = fmt.Errorf("clean document on shard %d went unclassified: %+v", si, res)
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("AddDTD and clean documents did not finish within 10s of the panic")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,41 +251,6 @@ func TestGroupCommitConcurrentAddSyncAlways(t *testing.T) {
 	}
 	if got, want := snapshotOf(t, recovered), snapshotOf(t, s); !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered state diverges from group-committed run:\n got: %v\nwant: %v", got, want)
-	}
-}
-
-// TestAddBatchScoringBounded asserts the batch scoring fan-out uses a
-// bounded worker pool: a 512-document batch must not spawn hundreds of
-// goroutines.
-func TestAddBatchScoringBounded(t *testing.T) {
-	s := New(DefaultConfig())
-	s.AddDTD("article", articleDTD())
-	docs := make([]*xmltree.Document, 512)
-	for i := range docs {
-		docs[i] = parseDoc(t, `<article><title>t</title><author>a</author><ref/><ref/><body>b</body></article>`)
-	}
-	before := runtime.NumGoroutine()
-	resCh := make(chan []AddResult, 1)
-	go func() { resCh <- s.AddBatch(docs) }()
-	peak := before
-	for {
-		select {
-		case res := <-resCh:
-			if len(res) != len(docs) {
-				t.Fatalf("got %d results, want %d", len(res), len(docs))
-			}
-			// One DTD registered, so classification spawns no per-DTD
-			// goroutines: the pool itself is the only fan-out.
-			if limit := before + runtime.GOMAXPROCS(0) + 8; peak > limit {
-				t.Errorf("peak goroutines %d (baseline %d), want <= %d: batch fan-out is unbounded", peak, before, limit)
-			}
-			return
-		default:
-			if n := runtime.NumGoroutine(); n > peak {
-				peak = n
-			}
-			runtime.Gosched()
-		}
 	}
 }
 

@@ -13,13 +13,12 @@
 //   - re-classification of the repository against the evolved DTD set.
 //
 // A Source is safe for concurrent use. Ingest is two-phase: classification
-// (the expensive per-DTD alignment, parallelized across DTDs by package
-// classify) runs under a read lock, so many documents score concurrently;
-// only the commit — record, check, evolve, re-classify — takes the write
-// lock. A generation counter detects DTD-set changes between the two
-// phases, in which case the document is re-scored under the write lock, so
-// a stale similarity is never recorded. See DESIGN.md §8 for the full
-// concurrency model.
+// (the expensive per-DTD alignment) runs under a read lock, so many
+// documents score concurrently; only the commit — record, check, evolve,
+// re-classify — takes the write lock. A generation counter detects DTD-set
+// changes between the two phases, in which case the document is re-scored
+// under the write lock, so a stale similarity is never recorded. See
+// DESIGN.md §8 for the full concurrency model.
 package source
 
 import (
@@ -260,20 +259,16 @@ type AddResult struct {
 // phases.
 //
 // Add is two-phase: the similarity scoring runs under the read lock (so
-// concurrent Adds classify in parallel, and each classification fans out
-// across DTDs), then the commit step (commit.go) takes the write lock. If
-// the DTD set changed in between (another Add evolved a DTD, or AddDTD
-// ran), the document is re-scored under the write lock before being
-// recorded.
+// concurrent Adds classify in parallel), then the commit step (commit.go)
+// takes the write lock. If the DTD set changed in between (another Add
+// evolved a DTD, or AddDTD ran), the document is re-scored under the write
+// lock before being recorded.
 //
 // Classification only looks tags up; the commit interns them, so symbol
 // IDs follow journal order.
 func (s *Source) Add(doc *xmltree.Document) AddResult {
 	start := time.Now() // dtdvet:allow replaydet -- wall clock feeds phase metrics only; never journaled or replayed
-	s.mu.RLock()
-	r := newReq(doc, s.classifier.Classify(doc), s.gen)
-	journal := s.journalingLocked()
-	s.mu.RUnlock()
+	r, journal := s.score(doc)
 	defer freeReq(r)
 	s.metrics.ObserveClassifyPhase(time.Since(start)) // dtdvet:allow replaydet -- metrics only
 	if journal {
@@ -283,11 +278,20 @@ func (s *Source) Add(doc *xmltree.Document) AddResult {
 	return r.res
 }
 
-// AddBatch ingests many documents at once: every document is scored
-// concurrently under one read-lock section, then all results are committed
-// (record/check/evolve/triggers, exactly as repeated Adds would) through
-// the group-commit queue, in groups of up to DefaultMaxGroup. The returned
-// slice has one AddResult per document, in input order.
+// score classifies doc under the read lock, which a panic in the scoring
+// releases too, and reports whether its record is to be journaled.
+func (s *Source) score(doc *xmltree.Document) (*commitReq, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return newReq(doc, s.classifier.Classify(doc), s.gen), s.journalingLocked()
+}
+
+// AddBatch ingests many documents at once: every document is scored under
+// one read-lock section, on a worker pool sized to the core count, then
+// all results are committed (record/check/evolve/triggers, exactly as
+// repeated Adds would) through the group-commit queue, in groups of up to
+// DefaultMaxGroup. The returned slice has one AddResult per document, in
+// input order.
 //
 // If a document's classification triggers an evolution mid-batch, later
 // documents of the batch are re-scored against the updated DTD set before
@@ -301,9 +305,11 @@ func (s *Source) AddBatch(docs []*xmltree.Document) []AddResult {
 // disconnected client, a server shutdown — the per-document scoring fan-out
 // stops launching new documents, in-flight scorings drain, and the batch
 // returns ctx's error with nothing committed. Cancellation is checked
-// between documents; a single document's per-DTD alignment always runs to
+// between documents; a single document's scoring always runs to
 // completion. Once the commit phase has begun the batch is applied in full
 // (the commit is cheap and must stay equivalent to a serial Add sequence).
+// A panic while scoring surfaces here, once the workers have stopped and
+// the read lock is released, with nothing committed.
 func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) ([]AddResult, error) {
 	results := make([]AddResult, len(docs))
 	if len(docs) == 0 {
@@ -321,19 +327,18 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 	cls := make([]classify.Result, len(docs))
 	// A worker pool sized to the core count, not one goroutine per
 	// document: a large batch must not spawn thousands of goroutines that
-	// all contend for the same cores (each classification already fans out
-	// per DTD underneath).
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(docs) {
-		workers = len(docs)
-	}
+	// all contend for the same cores. A worker that panics keeps the panic
+	// for the caller and stops.
+	workers := min(runtime.GOMAXPROCS(0), len(docs))
+	panics := make([]any, workers)
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
 	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		go func() {
 			defer wg.Done()
+			defer func() { panics[w] = recover() }()
 			for {
 				i := int(next.Add(1))
 				if i >= len(docs) || ctx.Err() != nil {
@@ -345,6 +350,11 @@ func (s *Source) AddBatchContext(ctx context.Context, docs []*xmltree.Document) 
 	}
 	wg.Wait()
 	s.mu.RUnlock()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	s.metrics.ObserveClassifyPhase(time.Since(start))
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -3,7 +3,9 @@ package source
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dtdevolve/internal/adapt"
 	"dtdevolve/internal/dtd"
@@ -384,5 +386,63 @@ func TestAdaptStoredErrors(t *testing.T) {
 	}
 	if _, err := s.AdaptStored("nope", adapt.DefaultOptions()); err == nil {
 		t.Error("AdaptStored of unknown DTD should fail")
+	}
+}
+
+// TestScoringPanicReachesCaller: a panic raised while scoring a document —
+// here by the caller's TagSimilarity — reaches the caller of Add, and of
+// AddBatch, whose scoring runs on worker goroutines, with nothing
+// committed. The source must go on serving: an AddDTD and a clean Add both
+// finish afterwards. A read lock left held would block them; a panic left
+// on a worker would kill the process.
+func TestScoringPanicReachesCaller(t *testing.T) {
+	const armedPanic = "tag similarity armed"
+	for _, tc := range []struct {
+		name string
+		add  func(s *Source, doc *xmltree.Document)
+	}{
+		{"Add", func(s *Source, doc *xmltree.Document) { s.Add(doc) }},
+		{"AddBatch", func(s *Source, doc *xmltree.Document) { s.AddBatch([]*xmltree.Document{doc, doc, doc}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var armed atomic.Bool
+			cfg := DefaultConfig()
+			cfg.Similarity.TagSimilarity = func(string, string) float64 {
+				if armed.Load() {
+					panic(armedPanic)
+				}
+				return 0
+			}
+			s := New(cfg)
+			s.AddDTD("article", articleDTD())
+			deviant := parseDoc(t, `<article><title>t</title><extra/><body>b</body></article>`)
+			clean := parseDoc(t, `<article><title>t</title><body>b</body></article>`)
+			armed.Store(true)
+			p := func() (p any) {
+				defer func() { p = recover() }()
+				tc.add(s, deviant)
+				return nil
+			}()
+			armed.Store(false)
+			if p != armedPanic {
+				t.Fatalf("%s panicked with %v, want %q", tc.name, p, armedPanic)
+			}
+			if n := s.Metrics().Added; n != 0 {
+				t.Errorf("%d documents committed by the panicking call, want 0", n)
+			}
+			done := make(chan AddResult, 1)
+			go func() {
+				s.AddDTD("list", dtd.MustParse(`<!ELEMENT list (item+)><!ELEMENT item (#PCDATA)>`))
+				done <- s.Add(clean)
+			}()
+			select {
+			case res := <-done:
+				if !res.Classified || res.DTDName != "article" {
+					t.Errorf("clean Add after the panic = %+v, want classified in article", res)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("AddDTD and a clean Add did not finish within 10s of the panic")
+			}
+		})
 	}
 }
