@@ -740,9 +740,9 @@ func manyDTDRegistry(set func(name string, d *dtd.DTD)) []*xmltree.Document {
 // BenchmarkRegisterManyDTDs measures DTD registration: each iteration
 // registers the BenchmarkClassifyManyDTDs registry's 1,000 DTDs, generated
 // outside the timer, into a fresh Source through AddDTD. Registration
-// interns each DTD's labels and compiles its recorder, classifier entry and
-// evaluator pool, so its cost per DTD should not grow with the symbols the
-// Source already holds.
+// parses each DTD's text, interns its labels and compiles its recorder,
+// classifier entry and evaluator pool, so its cost per DTD should not grow
+// with the symbols the Source already holds.
 func BenchmarkRegisterManyDTDs(b *testing.B) {
 	type named struct {
 		name string
@@ -756,7 +756,9 @@ func BenchmarkRegisterManyDTDs(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := source.New(cfg)
 		for _, n := range dtds {
-			s.AddDTD(n.name, n.d)
+			if err := s.AddDTD(n.name, n.d); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
@@ -772,7 +774,11 @@ func BenchmarkRegisterManyDTDs(b *testing.B) {
 func BenchmarkRecoverManyDTDs(b *testing.B) {
 	cfg := source.DefaultConfig()
 	live := source.New(cfg)
-	docs := manyDTDRegistry(live.AddDTD)
+	docs := manyDTDRegistry(func(name string, d *dtd.DTD) {
+		if err := live.AddDTD(name, d); err != nil {
+			b.Fatal(err)
+		}
+	})
 	ckpt, err := live.Snapshot()
 	if err != nil {
 		b.Fatal(err)

@@ -56,7 +56,9 @@ func main() {
 	cfg.Evolve.MinSupport = *mu
 
 	src := dtdevolve.NewSource(cfg)
-	src.AddDTD("schema", d)
+	if err := src.AddDTD("schema", d); err != nil {
+		fatal(err)
+	}
 
 	paths, err := expandArgs(flag.Args())
 	if err != nil {

@@ -20,7 +20,9 @@
 //	d.Name = "article"
 //
 //	src := dtdevolve.NewSource(dtdevolve.DefaultConfig())
-//	src.AddDTD("article", d)
+//	if err := src.AddDTD("article", d); err != nil {
+//	    log.Fatal(err)
+//	}
 //	for _, xml := range corpus {
 //	    doc, _ := dtdevolve.ParseDocumentString(xml)
 //	    res := src.Add(doc) // classify + record (+ evolve when triggered)

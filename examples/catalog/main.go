@@ -36,8 +36,12 @@ func main() {
 	cfg.Sigma = 0.75
 	cfg.AutoEvolve = false
 	src := dtdevolve.NewSource(cfg)
-	src.AddDTD("catalog", catalog)
-	src.AddDTD("invoice", invoice)
+	if err := src.AddDTD("catalog", catalog); err != nil {
+		log.Fatal(err)
+	}
+	if err := src.AddDTD("invoice", invoice); err != nil {
+		log.Fatal(err)
+	}
 
 	stream := []string{
 		// Plain instances of both schemas.

@@ -27,7 +27,9 @@ func main() {
 	cfg := dtdevolve.DefaultConfig()
 	cfg.MinDocs = 12
 	src := dtdevolve.NewSource(cfg)
-	src.AddDTD("event", d)
+	if err := src.AddDTD("event", d); err != nil {
+		log.Fatal(err)
+	}
 
 	// New-style events carry a trace id the schema does not know about.
 	evt := `<event><ts>2002-06-01T10:00</ts><level>info</level><msg>ok</msg><trace>abc</trace></event>`

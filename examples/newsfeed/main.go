@@ -25,7 +25,9 @@ func main() {
 	cfg.Sigma = 0.6 // era-3 articles drift further; keep them classifiable
 	cfg.MinDocs = 10
 	src := dtdevolve.NewSource(cfg)
-	src.AddDTD("article", d)
+	if err := src.AddDTD("article", d); err != nil {
+		log.Fatal(err)
+	}
 
 	phases := []struct {
 		name string

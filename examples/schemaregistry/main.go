@@ -67,7 +67,9 @@ func main() {
 	cfg.AutoEvolve = false // the trigger rule is in charge
 	cfg.Similarity.TagSimilarity = th.SimilarityFunc()
 	src := dtdevolve.NewSource(cfg)
-	src.AddDTD("order", d)
+	if err := src.AddDTD("order", d); err != nil {
+		log.Fatal(err)
+	}
 	if err := src.EnableStore(""); err != nil { // in-memory store for the demo
 		log.Fatal(err)
 	}

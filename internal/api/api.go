@@ -110,8 +110,7 @@ type sourceEngine struct{ src *source.Source }
 func SourceEngine(src *source.Source) Engine { return sourceEngine{src} }
 
 func (e sourceEngine) AddDTD(name string, d *dtd.DTD) error {
-	e.src.AddDTD(name, d)
-	return nil
+	return e.src.AddDTD(name, d)
 }
 func (e sourceEngine) DTD(name string) *dtd.DTD { return e.src.DTD(name) }
 func (e sourceEngine) Names() []string          { return e.src.Names() }

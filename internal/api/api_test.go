@@ -2,6 +2,7 @@ package api
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -177,6 +178,52 @@ func TestForceEvolveEndpoint(t *testing.T) {
 	resp, _ = do(t, "POST", srv.URL+"/dtds/missing/evolve", "")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing evolve status = %d", resp.StatusCode)
+	}
+}
+
+// TestServedDTDsRegisterBack: after an evolution merges a text-bearing
+// declaration, every DTD GET /dtds/{name} serves registers back through
+// PUT under a new name, and the copy serves the same text.
+func TestServedDTDsRegisterBack(t *testing.T) {
+	cfg := source.DefaultConfig()
+	cfg.AutoEvolve = false
+	srv := httptest.NewServer(New(source.New(cfg)))
+	t.Cleanup(srv.Close)
+	if resp, out := do(t, "PUT", srv.URL+"/dtds/x?root=r", `<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register status = %d (%v)", resp.StatusCode, out)
+	}
+	for i := 0; i < 20; i++ {
+		doc := `<r><a>t</a></r>`
+		if i%2 == 0 {
+			doc = `<r><a>t<b/></a><a>u</a></r>`
+		}
+		do(t, "POST", srv.URL+"/documents", doc)
+	}
+	if resp, out := do(t, "POST", srv.URL+"/dtds/x/evolve", ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("evolve status = %d (%v)", resp.StatusCode, out)
+	}
+	get := func(name string) string {
+		t.Helper()
+		resp, _ := do(t, "GET", srv.URL+"/dtds/"+name, "")
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /dtds/%s: status %d, %v", name, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	if text := get("x"); !strings.Contains(text, "<!ELEMENT a (#PCDATA | b)*>") {
+		t.Fatalf("evolution did not merge a into mixed content:\n%s", text)
+	}
+	_, out := do(t, "GET", srv.URL+"/dtds", "")
+	for _, name := range out["dtds"].([]any) {
+		text := get(name.(string))
+		copyName := name.(string) + "-copy"
+		if resp, out := do(t, "PUT", srv.URL+"/dtds/"+copyName, text); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT of served %s: status %d (%v)\n%s", name, resp.StatusCode, out, text)
+		}
+		if got := get(copyName); got != text {
+			t.Errorf("%s serves\n%s\nafter registering\n%s", copyName, got, text)
+		}
 	}
 }
 

@@ -76,6 +76,15 @@ type dtdParser struct {
 	line          int
 	col           int
 	paramEntities map[string]string
+	// open lists the parameter entities whose spliced replacement text
+	// the parser has not yet passed, outermost first, each with the
+	// offset in src where its text ends.
+	open []openEntity
+}
+
+type openEntity struct {
+	name string
+	end  int
 }
 
 func (p *dtdParser) errf(format string, args ...any) error {
@@ -157,9 +166,24 @@ func (p *dtdParser) expandPERef() error {
 	if !ok {
 		return p.errf("reference to undeclared parameter entity %%%s;", name)
 	}
+	// A reference inside the entity's own replacement text would splice
+	// forever (XML 1.0 §4.1 forbids it).
+	for len(p.open) > 0 && p.pos >= p.open[len(p.open)-1].end {
+		p.open = p.open[:len(p.open)-1]
+	}
+	for _, o := range p.open {
+		if o.name == name {
+			return p.errf("recursive reference to parameter entity %%%s;", name)
+		}
+	}
 	// Splice the replacement text (padded with spaces, per XML 1.0 §4.4.8)
-	// into the remaining input.
-	p.src = p.src[:p.pos] + " " + val + " " + p.src[p.pos:]
+	// into the remaining input. Every open entity's text encloses it.
+	text := " " + val + " "
+	p.src = p.src[:p.pos] + text + p.src[p.pos:]
+	for i := range p.open {
+		p.open[i].end += len(text)
+	}
+	p.open = append(p.open, openEntity{name: name, end: p.pos + len(text)})
 	return nil
 }
 

@@ -171,6 +171,27 @@ func TestParseParameterEntities(t *testing.T) {
 	}
 }
 
+// TestParseRecursiveParameterEntity: a parameter entity referenced from
+// its own replacement text, directly or through another, is an error, not
+// an endless expansion; a reference after the text ends is not recursive.
+func TestParseRecursiveParameterEntity(t *testing.T) {
+	for _, src := range []string{
+		`<!ENTITY % p "( %p;)"> <!ELEMENT a %p;>`,
+		`<!ENTITY % p "(%q;)"> <!ENTITY % q "a | %p;"> <!ELEMENT a %p;>`,
+	} {
+		if _, err := ParseString(src); err == nil || !strings.Contains(err.Error(), "recursive") {
+			t.Errorf("ParseString(%q) = %v, want a recursive-reference error", src, err)
+		}
+	}
+	d, err := ParseString(`<!ENTITY % p "b"> <!ENTITY % q "(%p;, %p;)"> <!ELEMENT a %q;> <!ELEMENT c (%p;)>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Elements["a"].String() + d.Elements["c"].String(); got != "(b, b)(b)" {
+		t.Errorf("a, c = %s", got)
+	}
+}
+
 func TestParseUndeclaredParameterEntity(t *testing.T) {
 	if _, err := ParseString("<!ELEMENT a (%nope;)>"); err == nil {
 		t.Fatal("undeclared parameter entity accepted")

@@ -11,6 +11,8 @@ import "sort"
 //   - structurally duplicate OR alternatives are removed,
 //   - stacked occurrence operators collapse ((x?)* → x*, (x+)? → x*, ...),
 //   - a ? around an already-nullable model is dropped,
+//   - an occurrence operator on #PCDATA is dropped, as the parser reads
+//     (#PCDATA)*,
 //   - EMPTY alternatives make the surrounding OR optional,
 //   - #PCDATA alternatives move to the front of an OR (mixed-content form).
 //
@@ -157,6 +159,9 @@ func simplifyOccurrence(c *Content) (*Content, bool) {
 		}
 	case Empty:
 		return NewEmpty(), true
+	case PCDATA:
+		// (#PCDATA)*, + or ? admits text and no element, as #PCDATA does.
+		return inner, true
 	}
 	if c.Kind == Opt && inner.Nullable() {
 		// x already matches the empty sequence; the ? is redundant.

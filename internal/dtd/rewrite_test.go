@@ -34,6 +34,8 @@ func TestRewriteRules(t *testing.T) {
 		{"empty group", NewSeq(), "EMPTY"},
 		{"star of empty", NewStar(NewEmpty()), "EMPTY"},
 		{"pcdata to front", NewStar(NewChoice(NewName("a"), NewPCDATA())), "(#PCDATA | a)*"},
+		{"star of pcdata", NewStar(NewPCDATA()), "(#PCDATA)"},
+		{"plus of optional pcdata", NewPlus(NewOpt(NewPCDATA())), "(#PCDATA)"},
 		{"deep combination", NewOpt(NewSeq(NewSeq(NewStar(NewStar(NewName("a")))))), "(a)*"},
 		{"untouched", NewSeq(NewName("a"), NewOpt(NewName("b")), NewPlus(NewChoice(NewName("c"), NewName("d")))), "(a, b?, (c | d)+)"},
 	}

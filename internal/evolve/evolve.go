@@ -13,7 +13,8 @@
 //     policies (see extract.go);
 //   - misc window, otherwise: a declaration is rebuilt from the new
 //     documents and OR-ed with the previous one, then simplified with the
-//     DTD re-writing rules.
+//     DTD re-writing rules; when either side admits text, the OR widens
+//     to the mixed declaration over both sides' labels.
 //
 // Plus elements (tags that appear in documents but have no declaration)
 // referenced by a rebuilt declaration receive brand-new declarations,
@@ -156,6 +157,13 @@ func Evolve(rec *record.Recorder, cfg Config) (*dtd.DTD, Report) {
 		default:
 			rebuilt := ExtractStructure(stats, cfg)
 			merged := dtd.Rewrite(dtd.NewChoice(model.Clone(), rebuilt))
+			if merged.HasPCDATA() {
+				// A DTD admits text beside elements only in mixed content,
+				// so the OR of a text-bearing side widens to the mixed
+				// model over both sides' labels (sorted: replay re-runs
+				// this).
+				merged = mixed(merged.Labels())
+			}
 			change.Action = Merged
 			out.Elements[name] = merged
 			declarePlusElements(out, stats, cfg, 0, &report)

@@ -170,6 +170,43 @@ func TestMiscWindowMergesWithOldDeclaration(t *testing.T) {
 	}
 }
 
+// TestMiscWindowMergesTextBearingDeclaration: a DTD admits text beside
+// elements only in mixed content, so a misc-window merge where either side
+// admits text becomes the mixed model over both sides' labels. Its text
+// reads back as it, and it accepts what the old declaration and the new
+// instances do.
+func TestMiscWindowMergesTextBearingDeclaration(t *testing.T) {
+	d := dtd.MustParse(`<!ELEMENT r (a*)> <!ELEMENT a (#PCDATA)>`)
+	d.Name = "r"
+	for _, tc := range []struct {
+		name string
+		docs map[string]int
+	}{
+		// (#PCDATA) | (#PCDATA | b)* is exactly (#PCDATA | b)*.
+		{"mixed", map[string]int{`<r><a>t<b/></a><a>u</a></r>`: 10, `<r><a>t</a></r>`: 10}},
+		// (#PCDATA) | (b?) widens to (#PCDATA | b)*, the only DTD form
+		// admitting both.
+		{"element content", map[string]int{`<r><a/></r>`: 6, `<r><a><b/></a></r>`: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			evolved, _ := Evolve(recordDocs(t, d, tc.docs), DefaultConfig())
+			if got, want := evolved.Elements["a"].String(), "(#PCDATA | b)*"; got != want {
+				t.Errorf("a = %s, want %s", got, want)
+			}
+			back, err := dtd.ParseString(evolved.String())
+			if err != nil || !back.Equal(evolved) {
+				t.Errorf("evolved DTD does not read back from its text (%v):\n%s", err, evolved)
+			}
+			v := validate.New(evolved)
+			for src := range tc.docs {
+				if vs := v.ValidateDocument(parseDoc(t, src)); len(vs) != 0 {
+					t.Errorf("%s invalid after the merge: %v", src, vs)
+				}
+			}
+		})
+	}
+}
+
 func TestEvolveLocalityOfModifications(t *testing.T) {
 	// Only the drifting element changes; everything else stays untouched.
 	d := dtd.MustParse(`

@@ -26,21 +26,27 @@ import (
 // text; DESIGN.md §3.2 documents the reconstruction implemented here.
 func ExtractStructure(stats *record.ElementStats, cfg Config) *dtd.Content {
 	labels := stats.LabelSet()
-	if len(labels) == 0 {
-		if stats.TextInstances > 0 {
-			return dtd.NewPCDATA()
-		}
+	switch {
+	case stats.TextInstances > 0:
+		return mixed(labels)
+	case len(labels) == 0:
 		return dtd.NewEmpty()
-	}
-	if stats.TextInstances > 0 {
-		kids := []*dtd.Content{dtd.NewPCDATA()}
-		for _, l := range labels {
-			kids = append(kids, dtd.NewName(l))
-		}
-		return dtd.NewStar(dtd.NewChoice(kids...))
 	}
 	eng := newEngine(stats, cfg)
 	return dtd.Rewrite(eng.run())
+}
+
+// mixed returns the mixed-content declaration over labels: (#PCDATA), or
+// (#PCDATA | l1 | ... | ln)* in the order given.
+func mixed(labels []string) *dtd.Content {
+	if len(labels) == 0 {
+		return dtd.NewPCDATA()
+	}
+	kids := []*dtd.Content{dtd.NewPCDATA()}
+	for _, l := range labels {
+		kids = append(kids, dtd.NewName(l))
+	}
+	return dtd.NewStar(dtd.NewChoice(kids...))
 }
 
 // workTree is one member of the paper's working set C: a content-model tree

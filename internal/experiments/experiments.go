@@ -538,7 +538,9 @@ func E7Throughput(o Options) Table {
 		cfg := source.DefaultConfig()
 		cfg.AutoEvolve = false
 		s := source.New(cfg)
-		s.AddDTD("doc", truth)
+		if err := s.AddDTD("doc", truth); err != nil {
+			panic(err)
+		}
 		t0 := time.Now()
 		for _, doc := range docs {
 			s.Add(doc)
@@ -576,7 +578,9 @@ func E8SigmaSweep(o Options) Table {
 		cfg.Sigma = sigma
 		cfg.AutoEvolve = false
 		s := source.New(cfg)
-		s.AddDTD("doc", truth)
+		if err := s.AddDTD("doc", truth); err != nil {
+			panic(err)
+		}
 		classified := 0
 		for _, doc := range docs {
 			if res := s.Add(doc); res.Classified {

@@ -189,19 +189,18 @@ func (r *Router) healthy() error {
 	return nil
 }
 
-// AddDTD registers (or replaces) a DTD on every shard. Each shard gets its
-// own clone: shards evolve their declarations independently, and a shared
-// *dtd.DTD would couple them.
+// AddDTD registers (or replaces) a DTD on every shard. Each shard registers
+// its own parse of d's text, so shards evolve their declarations
+// independently. Whether a shard refuses d (source.ErrDTDRoundTrip)
+// depends on d alone, so a DTD the first shard refuses reaches no shard.
 func (r *Router) AddDTD(name string, d *dtd.DTD) error {
 	if err := r.healthy(); err != nil {
 		return err
 	}
-	for i, s := range r.shards {
-		dd := d
-		if i > 0 {
-			dd = d.Clone()
+	for _, s := range r.shards {
+		if err := s.AddDTD(name, d); err != nil {
+			return err
 		}
-		s.AddDTD(name, dd)
 	}
 	return nil
 }

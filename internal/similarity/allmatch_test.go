@@ -156,10 +156,10 @@ func TestAllMatchExclusions(t *testing.T) {
 	}
 }
 
-// TestAllMatchNestedAny: the validity run reads a nested ANY as a
-// wildcard, so it accepts <root><a>x</a><b/></root> under root (a, ANY),
-// where the DP reads ANY as the empty sequence and skips <b/> at plus
-// cost. The tree path must run the DP there, as the streaming path does.
+// TestAllMatchNestedAny: the validity run and the DP both read a nested
+// ANY, which only Go code can build, as the empty sequence. So the run
+// rejects <root><a>x</a><b/></root> under root (a, ANY), and the DP skips
+// <b/> at plus cost, on the tree path as on the streaming path.
 func TestAllMatchNestedAny(t *testing.T) {
 	d := dtd.NewDTD("root")
 	d.Elements["root"] = dtd.NewSeq(dtd.NewName("a"), dtd.NewAny())

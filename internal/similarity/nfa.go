@@ -25,8 +25,7 @@ import (
 // maximizing the linear score surrogate (see Config.score). Symbol edges
 // carry the interned ID of their label, so the inner matching loop is an
 // integer comparison; the name serves thesaurus lookups and alignment
-// traces. The alignment reads a nested ANY as the empty sequence: its
-// wildcard loop is not a move here.
+// traces.
 
 // automaton is a content model compiled for alignment: validate's
 // automaton of the model, and per state the minus cost of its delete move.
@@ -35,11 +34,10 @@ type automaton struct {
 	del []float64
 }
 
-// match returns state s's symbol edge as the alignment reads it; ok is
-// false where s has none and for a nested ANY's wildcard loop.
+// match returns state s's symbol edge; ok is false where s has none.
 func (a automaton) match(s int) (e validate.Edge, ok bool) {
 	e = a.Sym(s)
-	return e, e.To >= 0 && e.ID != validate.Wildcard
+	return e, e.To >= 0
 }
 
 // compiled returns the automaton for model, building and caching it on
@@ -214,9 +212,7 @@ func (e *Evaluator) relaxEps(a automaton, cells []cell, sc *alignScratch) {
 // allMatchAccepts reports whether the element children of n spell a word
 // of a's all-match language: the child sequences some start-to-accept
 // path consumes entirely on symbol edges, moving otherwise only on
-// epsilon edges. That is the language the validator's run decides, except
-// across a nested ANY, which the run reads as a wildcard and the DP as the
-// empty sequence; callers rule such models out.
+// epsilon edges. That is the language the validator's run decides.
 // dtdvet:noalloc
 func (e *Evaluator) allMatchAccepts(a automaton, n *xmltree.Node) bool {
 	r := &e.run

@@ -442,11 +442,10 @@ func (e *Evaluator) contentTriple(model *dtd.Content, n *xmltree.Node, depth int
 // order. That all-match path strictly outscores every other path, and the
 // sum repeats the additions the DP makes along it, so the triple is
 // bit-identical to align's (DESIGN.md §3.1). ok is false when the
-// shortcut does not apply, which includes every model nesting an ANY (its
-// run would read the wildcard); deltas computed before an imperfect child
-// stay memoized for the DP.
+// shortcut does not apply; deltas computed before an imperfect child stay
+// memoized for the DP.
 func (e *Evaluator) allMatchTriple(a automaton, n *xmltree.Node, depth int, global bool) (t Triple, ok bool) {
-	if !e.allMatch || a.HasWildcard() || !e.allMatchAccepts(a, n) {
+	if !e.allMatch || !e.allMatchAccepts(a, n) {
 		return Triple{}, false
 	}
 	for _, c := range n.Children {

@@ -6,6 +6,9 @@ import (
 	"testing/quick"
 
 	"dtdevolve/internal/dtd"
+	"dtdevolve/internal/evolve"
+	"dtdevolve/internal/gen"
+	"dtdevolve/internal/record"
 	"dtdevolve/internal/validate"
 	"dtdevolve/internal/xmltree"
 )
@@ -326,8 +329,24 @@ func mutate(r *rand.Rand, root *xmltree.Node) {
 	}
 }
 
+// agreesWithValidator reports whether root scores in [0, 1] against d,
+// and at 1 exactly when the validator accepts it, logging a disagreement.
+func agreesWithValidator(t *testing.T, d *dtd.DTD, root *xmltree.Node) bool {
+	t.Helper()
+	sim := NewEvaluator(d, DefaultConfig()).GlobalSim(root)
+	valid := len(validate.New(d).ValidateElement(root)) == 0
+	if sim < 0 || sim > 1 || valid != (sim == 1) {
+		t.Logf("valid %v at similarity %v under\n%s%s", valid, sim, d, root.Indent())
+		return false
+	}
+	return true
+}
+
+// TestPropertySimilarityAgreesWithValidator: global similarity 1 coincides
+// with validity. It checks mutated instances of a fixed DTD, then random
+// DTDs, the DTDs evolution makes of them, and Go-built variants nesting
+// ANY in the root's model, against mutated and drifted documents.
 func TestPropertySimilarityAgreesWithValidator(t *testing.T) {
-	v := validate.New(corpusDTD)
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		root := xmltree.NewElement("doc")
@@ -335,25 +354,33 @@ func TestPropertySimilarityAgreesWithValidator(t *testing.T) {
 		for k := r.Intn(4); k > 0; k-- {
 			mutate(r, root)
 		}
-		e := NewEvaluator(corpusDTD, DefaultConfig())
-		sim := e.GlobalSim(root)
-		if sim < 0 || sim > 1 {
-			t.Logf("sim out of range: %v", sim)
-			return false
-		}
-		valid := len(v.ValidateElement(root)) == 0
-		if valid && sim != 1 {
-			t.Logf("valid doc with sim %v:\n%s", sim, root.Indent())
-			return false
-		}
-		if !valid && sim == 1 {
-			t.Logf("invalid doc with sim 1:\n%s", root.Indent())
-			return false
-		}
-		return true
+		return agreesWithValidator(t, corpusDTD, root)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		gcfg := gen.DefaultConfig(seed)
+		gcfg.MaxDepth = 6
+		g := gen.New(gcfg)
+		d := g.RandomDTD("root", 8)
+		docs := append(g.MutatedDocuments(d, 10, 2, 0.6), g.MutatedDocuments(g.Drift(d, 3), 10, 1, 0.3)...)
+		rec := record.New(d)
+		for _, doc := range docs {
+			rec.Record(doc)
+		}
+		ecfg := evolve.DefaultConfig()
+		ecfg.Psi = []float64{0.15, 0.4}[seed%2]
+		evolved, _ := evolve.Evolve(rec, ecfg)
+		nested := d.Clone()
+		nested.Elements[d.Name] = dtd.NewSeq(nested.Elements[d.Name], dtd.NewAny())
+		for _, model := range []*dtd.DTD{d, evolved, nested} {
+			for i, doc := range docs {
+				if !agreesWithValidator(t, model, doc.Root) {
+					t.Fatalf("seed %d, document %d", seed, i)
+				}
+			}
+		}
 	}
 }
 

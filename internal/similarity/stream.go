@@ -166,10 +166,7 @@ func (se *StreamEval) Start(id int32) {
 		f.mode = modeContent
 		f.a = se.e.compiled(decl)
 		f.run.Reset(f.a.Automaton)
-		// The validity run decides the all-match language only where the
-		// validator and the DP read the model alike: not across a nested
-		// ANY.
-		f.deferred = f.triples && se.e.allMatch && !f.a.HasWildcard()
+		f.deferred = f.triples && se.e.allMatch
 		f.sum, f.nbuf = Triple{}, 0
 		if f.triples && !f.deferred {
 			se.startDP(f)

@@ -140,9 +140,10 @@ func TestStreamEvalShallowDepthCap(t *testing.T) {
 }
 
 // TestStreamEvalNestedAny covers a content model with ANY nested under a
-// sequence: the validator's automaton matches any segment there, and the
-// streaming path's validity must agree while its alignment automaton
-// scores the same documents.
+// sequence, which only Go code can build: the validity run and the
+// alignment both read it as the empty sequence, so the streaming path may
+// defer the DP on it and must still score and validate as the tree path
+// does.
 func TestStreamEvalNestedAny(t *testing.T) {
 	d := dtd.NewDTD("root")
 	d.Elements["root"] = &dtd.Content{Kind: dtd.Seq, Children: []*dtd.Content{

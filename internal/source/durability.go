@@ -263,11 +263,12 @@ func (s *Source) applyOp(op walOp) error {
 			return err
 		}
 	case "dtd":
-		d, err := dtdParse(op.Text, op.Root)
+		s.mu.Lock()
+		_, err := s.registerLocked(op, nil)
+		s.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("source: WAL DTD %q: %w", op.Name, err)
 		}
-		s.AddDTD(op.Name, d)
 	case "triggers":
 		if err := s.SetTriggerRules(op.Text); err != nil {
 			return fmt.Errorf("source: WAL trigger rules: %w", err)

@@ -24,6 +24,7 @@ package source
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -101,9 +102,10 @@ func DefaultConfig() Config {
 // and bookkeeping.
 type entry struct {
 	d *dtd.DTD
-	// text is d.String(), kept beside d wherever d is assigned: Status and
-	// every checkpoint read it, and serializing 1,000 DTDs on each call
-	// took ~8 ms.
+	// text is d's journal form, the text every checkpoint keeps, and d is
+	// what that text reads back as: registerLocked's parse of it, or an
+	// evolved DTD, whose text parses back to it. Status and every
+	// checkpoint read text; serializing 1,000 DTDs on each call took ~8 ms.
 	text       string
 	rec        *record.Recorder
 	docs       int // documents classified since last evolution
@@ -188,16 +190,49 @@ func New(cfg Config) *Source {
 	return s
 }
 
+// ErrDTDRoundTrip is AddDTD's refusal of a DTD whose text, the form the
+// journal and every checkpoint keep, fails to parse or parses to other
+// element declarations. Only a DTD built in Go can be refused: a nil
+// model, ANY or EMPTY nested in a group, an element missing from Order or
+// listed twice, an attribute default holding both quote characters.
+var ErrDTDRoundTrip = errors.New("source: DTD does not read back from its text")
+
 // AddDTD registers a DTD under the given name (initialization phase). It
-// replaces any previous DTD with that name and resets its recorder.
-func (s *Source) AddDTD(name string, d *dtd.DTD) {
+// replaces any previous DTD with that name and resets its recorder. The
+// source registers the parse of d's text, not d, so later changes to d do
+// not reach it. A DTD whose text does not parse back to d is refused with
+// ErrDTDRoundTrip, and nothing is journaled.
+func (s *Source) AddDTD(name string, d *dtd.DTD) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	text := d.String()
-	s.journalLocked(walOp{Op: "dtd", Name: name, Root: d.Name, Text: text})
-	s.entries[name] = &entry{d: d, text: text, rec: record.NewWithTable(d, s.tab)}
-	s.classifier.Set(name, d)
+	if _, err := s.registerLocked(walOp{Op: "dtd", Name: name, Root: d.Name, Text: d.String()}, d); err != nil {
+		return fmt.Errorf("%w: DTD %q: %v", ErrDTDRoundTrip, name, err)
+	}
+	return nil
+}
+
+// registerLocked parses op.Text, the DTD text of a "dtd" record, journals
+// op, and registers the parse, rooted at op.Root, under op.Name with a
+// fresh recorder. That parse is the one reading of a DTD a source holds:
+// AddDTD, replayed records and RestoreAt all register through this step.
+// A text that fails to parse, or whose parse is not want (when want is
+// non-nil), changes nothing.
+// dtdvet:requires mu
+func (s *Source) registerLocked(op walOp, want *dtd.DTD) (*entry, error) {
+	d, err := dtd.ParseString(op.Text)
+	if err == nil && want != nil && !d.Equal(want) {
+		err = errors.New("its text declares other elements")
+	}
+	if err != nil {
+		return nil, err
+	}
+	d.Name = op.Root
+	s.journalLocked(op)
+	e := &entry{d: d, text: op.Text, rec: record.NewWithTable(d, s.tab)}
+	s.entries[op.Name] = e
+	s.classifier.Set(op.Name, d)
 	s.gen++
+	return e, nil
 }
 
 // DTD returns a deep copy of the DTD currently registered under name, or
@@ -903,18 +938,14 @@ func RestoreAt(cfg Config, data []byte) (*Source, uint64, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		src := snap.DTDs[name]
-		d, err := dtd.ParseString(src)
+		e, err := s.registerLocked(walOp{Op: "dtd", Name: name, Root: snap.Roots[name], Text: snap.DTDs[name]}, nil)
 		if err != nil {
 			return nil, 0, fmt.Errorf("source: snapshot DTD %q: %w", name, err)
 		}
-		d.Name = snap.Roots[name]
-		e := &entry{d: d, text: d.String(), rec: record.NewWithTable(d, s.tab), docs: snap.Docs[name], evolutions: snap.Evolutions[name]}
+		e.docs, e.evolutions = snap.Docs[name], snap.Evolutions[name]
 		if rs := snap.Recorders[name]; rs != nil {
 			e.rec.Restore(rs)
 		}
-		s.entries[name] = e
-		s.classifier.Set(name, d)
 	}
 	for _, src := range snap.Repository {
 		doc, err := xmltree.ParseString(src)
@@ -932,14 +963,4 @@ func RestoreAt(cfg Config, data []byte) (*Source, uint64, error) {
 	}
 	s.added = snap.Added
 	return s, snap.WALSeq, nil
-}
-
-// dtdParse parses journaled DTD text and restores its declared root.
-func dtdParse(text, root string) (*dtd.DTD, error) {
-	d, err := dtd.ParseString(text)
-	if err != nil {
-		return nil, err
-	}
-	d.Name = root
-	return d, nil
 }

@@ -1,8 +1,7 @@
 package validate
 
 // Static analyses of content models, walked over the epsilon closures of
-// the automaton LocalValid runs. Both read a nested ANY as the empty
-// sequence: its wildcard loop is not a move here.
+// the automaton LocalValid runs.
 
 import (
 	"encoding/binary"
@@ -134,11 +133,11 @@ func EquivalentDTDs(a, b *dtd.DTD) bool {
 }
 
 // edges returns the symbol edges of the states in set (of every state for
-// a nil set), in state order; a nested ANY's wildcard loop is not one.
+// a nil set), in state order.
 func (r *Run) edges(set []uint64) []Edge {
 	var out []Edge
 	for s, st := range r.a.states {
-		if e := st.sym; e.To >= 0 && e.ID != Wildcard && (set == nil || has(set, int32(s))) {
+		if e := st.sym; e.To >= 0 && (set == nil || has(set, int32(s))) {
 			out = append(out, e)
 		}
 	}

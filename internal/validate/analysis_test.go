@@ -22,10 +22,10 @@ func checkAnalysesAgainstLegacy(t *testing.T, x, y *dtd.Content) {
 }
 
 // TestAnalysesMatchLegacy checks the automaton's analyses against the
-// Glushkov oracle on 100,000 random models of up to five operator levels,
-// nested ANY included: each model's determinism messages, its equivalence
-// with its rewrite, and its equivalence with a small random model, which
-// over two letters is often equivalent.
+// Glushkov oracle on 100,000 random models of up to five operator levels:
+// each model's determinism messages, its equivalence with its rewrite, and
+// its equivalence with a small random model, which over two letters is
+// often equivalent.
 func TestAnalysesMatchLegacy(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20, 2))
 	small := func(n int) int {
@@ -45,6 +45,43 @@ func TestAnalysesMatchLegacy(t *testing.T) {
 		}
 	}
 	t.Logf("%d of 100,000 small random pairs equivalent", equal)
+}
+
+// TestEquivalentAgreesWithMatchModel: models Equivalent calls equal give
+// the same MatchModel verdict on every sampled word. The pairs are random
+// models with their rewrites, small random pairs, and random models beside
+// a Go-built copy nesting ANY, which every reading takes as the empty
+// sequence.
+func TestEquivalentAgreesWithMatchModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(25, 1))
+	small := func(n int) int {
+		if n == len(alphabet) {
+			return rng.IntN(2)
+		}
+		return rng.IntN(n)
+	}
+	checked := 0
+	for i := 0; i < 5000; i++ {
+		x := randModel(rng.IntN, 4)
+		pairs := [][2]*dtd.Content{
+			{x, dtd.Rewrite(x)},
+			{x, dtd.NewSeq(x, dtd.NewAny())},
+			{randModel(small, 2), randModel(small, 2)},
+		}
+		for _, p := range pairs {
+			if !Equivalent(p[0], p[1]) {
+				continue
+			}
+			checked++
+			mx, my := Matcher(p[0]), Matcher(p[1])
+			for k := 0; k < 16; k++ {
+				if w := randTags(rng.IntN); mx(w) != my(w) {
+					t.Fatalf("Equivalent(%s, %s), but MatchModel on %v reads %v and %v", p[0], p[1], w, mx(w), my(w))
+				}
+			}
+		}
+	}
+	t.Logf("%d equivalent pairs agree on sampled words", checked)
 }
 
 func FuzzAnalyses(f *testing.F) {

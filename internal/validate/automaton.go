@@ -14,17 +14,17 @@ import (
 // epsilon closures. Every Name leaf contributes one symbol edge, labelled
 // with the interned ID of its name, and every operator only epsilon edges,
 // so a model of k nodes compiles to at most 2k states, numbered in the
-// order the construction visits the model. EMPTY and #PCDATA leaves match
-// the empty sequence, and a nested ANY becomes a wildcard loop that
-// consumes any tag. An Automaton is immutable once compiled and safe to
-// share between goroutines.
+// order the construction visits the model. EMPTY, #PCDATA and ANY leaves
+// match the empty sequence: ANY is a content specification only as a
+// whole declaration, which callers decide without an automaton, and DTD
+// text cannot nest one. An Automaton is immutable once compiled and safe
+// to share between goroutines.
 type Automaton struct {
 	states        []state
 	start, accept int32
 	// first is the start state's epsilon closure, the set every run
 	// starts from.
-	first    []uint64
-	wildcard bool // some state carries a nested ANY's wildcard loop
+	first []uint64
 }
 
 // state is one automaton state: its epsilon successors and at most one
@@ -36,13 +36,10 @@ type state struct {
 
 // Edge is a state's symbol edge.
 type Edge struct {
-	ID   int32  // the interned label it consumes; Wildcard for a nested ANY
+	ID   int32  // the interned label it consumes
 	To   int32  // its target state; -1 when the state has no symbol edge
 	Name string // the label, for messages and alignment traces
 }
-
-// Wildcard is the ID on a nested ANY's loop edge, which consumes any tag.
-const Wildcard int32 = -1
 
 // Compile builds the automaton of model read as element content, labelling
 // its symbol edges with IDs from tab. A source interns its DTDs' labels
@@ -75,9 +72,6 @@ func (a *Automaton) Eps(s int) []int32 { return a.states[s].eps }
 // Sym returns the symbol edge of state s; its To is -1 when s has none.
 func (a *Automaton) Sym(s int) Edge { return a.states[s].sym }
 
-// HasWildcard reports whether the model nests an ANY.
-func (a *Automaton) HasWildcard() bool { return a.wildcard }
-
 func (a *Automaton) newState() int32 {
 	a.states = append(a.states, state{sym: Edge{To: -1}})
 	return int32(len(a.states) - 1)
@@ -93,10 +87,6 @@ func (a *Automaton) build(c *dtd.Content, tab *intern.Table) (start, accept int3
 	switch c.Kind {
 	case dtd.Name:
 		a.states[start].sym = Edge{ID: tab.Intern(c.Name), To: accept, Name: c.Name}
-	case dtd.Any:
-		a.states[start].sym = Edge{ID: Wildcard, To: start}
-		a.wildcard = true
-		a.eps(start, accept)
 	case dtd.Seq:
 		prev := start
 		for _, ch := range c.Children {
@@ -121,7 +111,7 @@ func (a *Automaton) build(c *dtd.Content, tab *intern.Table) (start, accept int3
 		if c.Kind != dtd.Opt {
 			a.eps(fa, fs)
 		}
-	default: // EMPTY and #PCDATA
+	default: // EMPTY, #PCDATA and ANY
 		a.eps(start, accept)
 	}
 	return start, accept
@@ -166,7 +156,7 @@ func (r *Run) Step(id int32) bool {
 		for word != 0 {
 			e := &r.a.states[w*64+bits.TrailingZeros64(word)].sym
 			word &= word - 1
-			if e.To >= 0 && (e.ID == id || e.ID == Wildcard) {
+			if e.To >= 0 && e.ID == id {
 				r.mark(r.next, e.To)
 			}
 		}

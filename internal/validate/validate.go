@@ -220,6 +220,9 @@ func MatchModel(model *dtd.Content, tags []string) bool {
 // that decide many tag sequences against one model. The returned function
 // is not safe for concurrent use.
 func Matcher(model *dtd.Content) func(tags []string) bool {
+	if model == nil || model.Kind == dtd.Any {
+		return func([]string) bool { return true }
+	}
 	tab := intern.NewTable()
 	a := Compile(model, tab)
 	var r Run

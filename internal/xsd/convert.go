@@ -146,15 +146,18 @@ func withOccurs(p *Particle, min, max int) *Particle {
 }
 
 // ToDTD converts the schema back into a DTD. The conversion is exact
-// except for bounded occurrence ranges DTDs cannot express (e.g.
-// maxOccurs="3"); those are approximated (min>0 → +, min=0 → *) and every
-// approximation is reported.
+// except where DTDs have no form for the schema's content, and every
+// approximation is reported: bounded occurrence ranges (e.g.
+// maxOccurs="3") become + when min>0 and * when min=0, and an xs:any
+// other than a whole content of any number of elements (what FromDTD
+// writes for ANY) becomes a choice of the schema's declared elements,
+// since a DTD declares ANY only as a whole content.
 func ToDTD(s *Schema) (*dtd.DTD, []string) {
 	d := dtd.NewDTD(s.Root)
 	var notes []string
 	for _, name := range s.Order {
 		e := s.Elements[name]
-		model := contentFromElement(e, &notes)
+		model := contentFromElement(e, s.Order, &notes)
 		d.Declare(name, model)
 		if e.Type != nil {
 			for _, a := range e.Type.Attributes {
@@ -190,7 +193,9 @@ func dtdAttrType(xsdType string) string {
 	}
 }
 
-func contentFromElement(e *Element, notes *[]string) *dtd.Content {
+// contentFromElement converts e's content; names are the schema's
+// declared elements, which stand in for an xs:any.
+func contentFromElement(e *Element, names []string, notes *[]string) *dtd.Content {
 	switch {
 	case e.Any:
 		return dtd.NewAny()
@@ -201,6 +206,8 @@ func contentFromElement(e *Element, notes *[]string) *dtd.Content {
 			return dtd.NewPCDATA()
 		}
 		return dtd.NewEmpty()
+	case wholeAny(e.Type.Particle):
+		return dtd.NewAny()
 	case e.Type.Mixed:
 		labels := collectRefs(e.Type.Particle)
 		kids := []*dtd.Content{dtd.NewPCDATA()}
@@ -212,8 +219,14 @@ func contentFromElement(e *Element, notes *[]string) *dtd.Content {
 		}
 		return dtd.NewStar(dtd.NewChoice(kids...))
 	default:
-		return contentFromParticle(e.Name, e.Type.Particle, notes)
+		return contentFromParticle(e.Name, e.Type.Particle, names, notes)
 	}
+}
+
+// wholeAny reports whether p is one xs:any of any number of elements, the
+// content FromDTD writes for an ANY element with attributes.
+func wholeAny(p *Particle) bool {
+	return p.Kind == AnyParticle && p.MinOccurs == 0 && p.MaxOccurs == Unbounded
 }
 
 func collectRefs(p *Particle) []string {
@@ -236,23 +249,28 @@ func collectRefs(p *Particle) []string {
 	return out
 }
 
-func contentFromParticle(owner string, p *Particle, notes *[]string) *dtd.Content {
+func contentFromParticle(owner string, p *Particle, names []string, notes *[]string) *dtd.Content {
 	var core *dtd.Content
 	switch p.Kind {
 	case ElementRef:
 		core = dtd.NewName(p.Ref)
 	case AnyParticle:
-		core = dtd.NewAny()
+		*notes = append(*notes, fmt.Sprintf("%s: xs:any approximated as a choice of the declared elements", owner))
+		kids := make([]*dtd.Content, len(names))
+		for i, n := range names {
+			kids[i] = dtd.NewName(n)
+		}
+		core = dtd.NewChoice(kids...)
 	case Sequence:
 		kids := make([]*dtd.Content, len(p.Children))
 		for i, ch := range p.Children {
-			kids[i] = contentFromParticle(owner, ch, notes)
+			kids[i] = contentFromParticle(owner, ch, names, notes)
 		}
 		core = dtd.NewSeq(kids...)
 	case Choice:
 		kids := make([]*dtd.Content, len(p.Children))
 		for i, ch := range p.Children {
-			kids[i] = contentFromParticle(owner, ch, notes)
+			kids[i] = contentFromParticle(owner, ch, names, notes)
 		}
 		core = dtd.NewChoice(kids...)
 	}

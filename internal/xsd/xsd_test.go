@@ -311,10 +311,16 @@ func TestAnyAndEmptyElements(t *testing.T) {
 	if ta.Type == nil || !ta.Type.Mixed {
 		t.Errorf("textattred = %+v", ta)
 	}
-	// Round trips.
-	back, _ := ToDTD(s)
+	// Round trips, with nothing approximated.
+	back, notes := ToDTD(s)
+	if len(notes) != 0 {
+		t.Errorf("notes = %v", notes)
+	}
 	if back.Elements["blob"].Kind != dtd.Any {
 		t.Errorf("blob back = %s", back.Elements["blob"])
+	}
+	if back.Elements["attred"].Kind != dtd.Any {
+		t.Errorf("attred back = %s", back.Elements["attred"])
 	}
 	if back.Elements["void"].Kind != dtd.Empty {
 		t.Errorf("void back = %s", back.Elements["void"])
@@ -324,6 +330,40 @@ func TestAnyAndEmptyElements(t *testing.T) {
 	}
 	if got := s.Names(); len(got) != 4 {
 		t.Errorf("names = %v", got)
+	}
+}
+
+// TestXSAnyParticleBecomesDeclaredChoice: a DTD declares ANY only as a
+// whole content, so an xs:any inside a group becomes a choice of the
+// declared elements under the particle's own bounds, with a note, and the
+// result reads back from its text.
+func TestXSAnyParticleBecomesDeclaredChoice(t *testing.T) {
+	src := `<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+  <xs:element name="r">
+    <xs:complexType>
+      <xs:sequence>
+        <xs:element ref="a"/>
+        <xs:any minOccurs="0" maxOccurs="unbounded"/>
+      </xs:sequence>
+    </xs:complexType>
+  </xs:element>
+  <xs:element name="a" type="xs:string"/>
+  <xs:element name="b" type="xs:string"/>
+</xs:schema>`
+	s, err := ParseString(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, notes := ToDTD(s)
+	if got, want := d.Elements["r"].String(), "(a, (r | a | b)*)"; got != want {
+		t.Errorf("r = %s, want %s", got, want)
+	}
+	if len(notes) != 1 || !strings.Contains(notes[0], "xs:any") {
+		t.Errorf("notes = %v", notes)
+	}
+	back, err := dtd.ParseString(d.String())
+	if err != nil || !back.Equal(d) {
+		t.Errorf("DTD does not read back from its text (%v):\n%s", err, d)
 	}
 }
 
